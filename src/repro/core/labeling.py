@@ -189,17 +189,22 @@ def run_weight_labeling(
         climb = lo_is_junior & ~union
         descend = hi_hit & (got_hi.col("jq") != cl_lo)
 
+        # each case writes only the rows where it fires: om_lo, om_hi
+        # and internal are never handed to a primitive, so writing them
+        # in place cannot disturb a registered array fact
+
         # case 1: union — the path becomes internal
-        uval = np.maximum(np.maximum(om_lo, om_hi),
-                          np.where(union, got_lo.col("cw"), NEG))
-        om_lo = np.where(union, uval, om_lo)
-        om_hi = np.where(union, uval, om_hi)
-        internal = internal | union
+        u = np.flatnonzero(union)
+        uval = np.maximum(np.maximum(om_lo[u], om_hi[u]),
+                          got_lo.col("cw")[u])
+        om_lo[u] = uval
+        om_hi[u] = uval
+        internal[u] = True
 
         # case 5: ω_lo extends over the junior's θ segment + cross edge
-        ext = np.maximum(np.where(climb, got_lo.col("cw"), NEG),
-                         np.where(climb, th_lo, NEG))
-        om_lo = np.where(climb, np.maximum(om_lo, ext), om_lo)
+        c = np.flatnonzero(climb)
+        om_lo[c] = np.maximum(om_lo[c],
+                              np.maximum(got_lo.col("cw")[c], th_lo[c]))
 
         # case 3: ω_hi extends through the absorbed junior jq down to the
         # child cluster q' on the path
@@ -212,12 +217,10 @@ def run_weight_labeling(
                 rt, clusters_now, low,
                 np.where(descend, got_hi.col("jq"), -1), dfs_lo,
             )
-            ok = descend & q_hit
-            ext_hi = np.maximum(
-                np.where(ok, got_hi.col("jcw"), NEG),
-                np.where(ok, got_q.col("qth"), NEG),
-            )
-            om_hi = np.where(ok, np.maximum(om_hi, ext_hi), om_hi)
+            d = np.flatnonzero(descend & q_hit)
+            om_hi[d] = np.maximum(
+                om_hi[d],
+                np.maximum(got_hi.col("jcw")[d], got_q.col("qth")[d]))
 
         # cluster-state updates: θ/pcl rewiring for clusters whose parent
         # cluster was absorbed, then drop the juniors

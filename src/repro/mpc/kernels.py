@@ -14,6 +14,9 @@ import numpy as np
 from ..errors import ProtocolError
 
 __all__ = [
+    "stable_argsort",
+    "search_slots",
+    "check_unique_sorted",
     "segment_starts",
     "segmented_scan",
     "forward_fill",
@@ -43,6 +46,50 @@ def op_combine(op: str, a, b):
     if op == "min":
         return a if a <= b else b
     raise ProtocolError(f"unsupported op {op!r}")
+
+
+def stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for an integer key, faster.
+
+    The words ``(key - min) * n + row`` are distinct, so a plain
+    ``np.sort`` of them yields the stable order. Keys whose span would
+    overflow an int64 word fall back to the stable argsort.
+    """
+    n = len(key)
+    if key.dtype.kind not in "iu" or key.dtype == np.uint64 or n < 2:
+        return np.argsort(key, kind="stable")
+    lo, hi = int(key.min()), int(key.max())
+    if (hi - lo) * n + n - 1 > np.iinfo(np.int64).max:
+        return np.argsort(key, kind="stable")
+    words = key.astype(np.int64)
+    words -= lo
+    words *= n
+    words += np.arange(n, dtype=np.int64)
+    words.sort()
+    return np.remainder(words, n, out=words)
+
+
+def search_slots(dks: np.ndarray, qk: np.ndarray, *, exact: bool) -> np.ndarray:
+    """Join slots of ``qk`` against the sorted data keys ``dks``.
+
+    A slot is the 1-based position of the matching data row, 0 on a
+    miss: for an equi-join the first row equal to the query, for a
+    predecessor join the last row ``<=`` the query.
+    """
+    if not exact:
+        return np.searchsorted(dks, qk, side="right")
+    pos = np.searchsorted(dks, qk, side="left")
+    if len(dks) == 0:
+        return pos
+    hit = dks[np.minimum(pos, len(dks) - 1)] == qk
+    return np.where(hit, pos + 1, 0)
+
+
+def check_unique_sorted(dks: np.ndarray) -> None:
+    """Raise :class:`ProtocolError` if the sorted keys ``dks`` repeat."""
+    dup = dks[1:][dks[1:] == dks[:-1]]
+    if len(dup):
+        raise ProtocolError(f"lookup data has duplicate key {int(dup[0])}")
 
 
 def segment_starts(keys: np.ndarray | None, n: int) -> np.ndarray:

@@ -7,12 +7,17 @@ the engine used for experiments at scale; the message-level engine
 produce identical outputs and identical charged rounds).
 
 Each primitive is split into a *charged eager* method (``_sort`` ...,
-used when the planner is off — behaviour identical to the pre-planner
+used when the planner is off — output-identical to the pre-planner
 engine, including the per-call ``_sorted_order`` fast paths) and an
 uncharged *physical executor* (``_exec_sort`` ...) that the planner
 invokes after logical charging, optionally with a precomputed
 :class:`~repro.mpc.optimizer.JoinPlan` carrying the optimizer's
-physical-operator choice. Both paths share the result-assembly code, so
+physical-operator choice. Both paths share the physical kernels: every
+join is resolved to a slot vector (1-based data row per query, 0 on a
+miss; the eager path searches with
+:func:`~repro.mpc.kernels.search_slots`) and assembled by one gather
+per payload column in :meth:`LocalRuntime._exec_join`, and every sort
+permutation comes from :func:`~repro.mpc.kernels.stable_argsort`. So
 planned and eager outputs are bit-identical by construction.
 
 Because this engine declares the ``rewrite`` capability,
@@ -30,7 +35,10 @@ from typing import Mapping, Sequence, Tuple
 import numpy as np
 
 from ..errors import ProtocolError, ValidationError
-from .kernels import forward_fill, op_identity, segment_starts, segmented_scan
+from .kernels import (check_unique_sorted, forward_fill, op_identity,
+                      search_slots, segment_starts, segmented_scan,
+                      stable_argsort)
+from .optimizer import JoinPlan
 from .runtime import Runtime, pack_columns, pack_pair
 from .table import Table
 
@@ -56,7 +64,7 @@ def _sorted_order(key: np.ndarray) -> np.ndarray | None:
     (:class:`~repro.mpc.plan.FactRegistry`) instead.
     """
     if len(key) > 1 and np.any(key[:-1] > key[1:]):
-        return np.argsort(key, kind="stable")
+        return stable_argsort(key)
     return None
 
 
@@ -98,8 +106,8 @@ class LocalRuntime(Runtime):
     ) -> Table:
         qk, dk = pack_pair(queries, qkey, data, dkey)
         self.tracker.charge("lookup", queries.words + data.words)
-        return self._exec_lookup(queries, qk, data, dk, payload, default,
-                                 check_unique, None)
+        return self._exec_join(queries, qk, data, dk, payload, default, None,
+                               exact=True, check_unique=check_unique)
 
     def _predecessor(
         self,
@@ -115,8 +123,8 @@ class LocalRuntime(Runtime):
         if qk.dtype.kind != "i" or dk.dtype.kind != "i":
             raise ValidationError("predecessor keys must be integer columns")
         self.tracker.charge("predecessor", queries.words + data.words)
-        return self._exec_predecessor(queries, qk, data, dk, payload,
-                                      default, None)
+        return self._exec_join(queries, qk, data, dk, payload, default, None,
+                               exact=False)
 
     def _reduce_by_key(
         self,
@@ -142,8 +150,7 @@ class LocalRuntime(Runtime):
     # -- uncharged physical executors (planner entry points) -----------------------
 
     def _exec_sort(self, table: Table, key: np.ndarray) -> Table:
-        order = np.argsort(key, kind="stable")
-        return table.take(order)
+        return table.take(stable_argsort(key))
 
     def _exec_scan(self, table: Table, keys, value_col: str, op: str,
                    exclusive: bool) -> np.ndarray:
@@ -151,114 +158,41 @@ class LocalRuntime(Runtime):
         starts = segment_starts(keys, len(vals))
         return segmented_scan(vals, op, starts, exclusive=exclusive)
 
-    def _exec_lookup(self, queries: Table, qk: np.ndarray, data: Table,
-                     dk: np.ndarray, payload, default, check_unique,
-                     jp) -> Table:
-        nq = len(qk)
-        if jp is not None:
-            return self._join_assemble(queries, qk, data, payload, default,
-                                       jp, exact=True)
-        order = _sorted_order(dk)
-        dks = dk if order is None else dk[order]
-        if check_unique and len(dks) > 1 and np.any(dks[1:] == dks[:-1]):
-            dup = dks[1:][dks[1:] == dks[:-1]][0]
-            raise ProtocolError(f"lookup data has duplicate key {int(dup)}")
-        if len(dks) == 0:
-            hit = np.zeros(nq, dtype=bool)
-            pos = np.zeros(nq, dtype=np.int64)
-        else:
-            pos = np.searchsorted(dks, qk, side="left")
-            inside = pos < len(dks)
-            pos_c = np.minimum(pos, len(dks) - 1)
-            hit = inside & (dks[pos_c] == qk)
-            pos = pos_c
-        if default is None and not hit.all():
-            missing = qk[~hit][:3].tolist()
-            raise ProtocolError(f"lookup misses with no default (keys {missing})")
-        out_cols = {}
-        for out_name, src_name in payload.items():
-            src = data.col(src_name)
-            if order is not None:
-                src = src[order]
-            if hit.all():
-                out_cols[out_name] = src[pos] if len(src) else np.empty(0, src.dtype)
-            else:
-                col = _default_fill(nq, src, default[out_name])
-                if len(src):
-                    col[hit] = src[pos[hit]].astype(col.dtype, copy=False)
-                out_cols[out_name] = col
-        return queries.with_cols(**out_cols)
+    def _exec_join(self, queries: Table, qk: np.ndarray, data: Table,
+                   dk: np.ndarray, payload, default, jp, *, exact: bool,
+                   check_unique: bool = False) -> Table:
+        """Lookup (``exact``) or predecessor join, eager or planned.
 
-    def _exec_predecessor(self, queries: Table, qk: np.ndarray, data: Table,
-                          dk: np.ndarray, payload, default, jp) -> Table:
-        nq = len(qk)
-        if jp is not None:
-            return self._join_assemble(queries, qk, data, payload, default,
-                                       jp, exact=False)
-        order = _sorted_order(dk)
-        dks = dk if order is None else dk[order]
-        if len(dks) == 0:
-            hit = np.zeros(nq, dtype=bool)
-            pos = np.zeros(nq, dtype=np.int64)
-        else:
-            pos = np.searchsorted(dks, qk, side="right") - 1
-            hit = pos >= 0
-            pos = np.maximum(pos, 0)
-        out_cols = {}
-        for out_name, src_name in payload.items():
-            src = data.col(src_name)
-            if order is not None:
-                src = src[order]
-            col = _default_fill(nq, src, default[out_name])
-            if len(src):
-                col[hit] = src[pos[hit]].astype(col.dtype, copy=False)
-            out_cols[out_name] = col
-        return queries.with_cols(**out_cols)
-
-    def _join_assemble(self, queries: Table, qk: np.ndarray, data: Table,
-                       payload, default, jp, *, exact) -> Table:
-        """Planned-path result assembly from a resolved ``JoinPlan``.
-
-        Values are bit-identical to the eager loops above; only the
-        assembly differs: the hit gather indices are computed once per
-        join (not once per payload column) and fully-hit joins gather
-        straight into the fill dtype, skipping the fill pass the eager
-        path would fully overwrite anyway.
+        Without a plan the data is sorted here and searched with
+        :func:`search_slots`. Either way ``jp.slot`` names each query's
+        data row (1-based, 0 on a miss), so every payload column is one
+        gather from ``[fill] + src``. The column takes the fill dtype,
+        except that a fully-hit lookup keeps the source dtype (its
+        head element is never gathered).
         """
-        nq = len(qk)
-        order, pos, hit = jp.order, jp.pos, jp.hit
-        all_hit = bool(hit.all())
-        if exact and default is None and not all_hit:
-            missing = qk[~hit][:3].tolist()
+        if jp is None:
+            order = _sorted_order(dk)
+            dks = dk if order is None else dk[order]
+            if check_unique:
+                check_unique_sorted(dks)
+            jp = JoinPlan(order, search_slots(dks, qk, exact=exact))
+        slot = jp.slot
+        keep_dtype = exact and bool(slot.all())
+        if exact and default is None and not keep_dtype:
+            missing = qk[slot == 0][:3].tolist()
             raise ProtocolError(f"lookup misses with no default (keys {missing})")
-        pos_hit = None if all_hit else pos[hit]
+        nd = len(data)
+        if jp.order is not None:
+            # sorted-data slots -> slots of the data rows as given
+            remap = np.zeros(nd + 1, dtype=np.int64)
+            np.add(jp.order, 1, out=remap[1:])
+            slot = remap[slot]
         out_cols = {}
         for out_name, src_name in payload.items():
             src = data.col(src_name)
-            if order is not None:
-                src = src[order]
-            if not len(src):
-                if exact and all_hit:
-                    out_cols[out_name] = np.empty(0, src.dtype)
-                else:
-                    out_cols[out_name] = _default_fill(nq, src,
-                                                       default[out_name])
-                continue
-            if all_hit:
-                if exact:
-                    # eager's fully-hit lookup keeps the source dtype
-                    out_cols[out_name] = src[pos]
-                else:
-                    # eager's predecessor always fills first: the fill
-                    # dtype wins even when fully overwritten
-                    fill_dtype = _default_fill(0, src,
-                                               default[out_name]).dtype
-                    out_cols[out_name] = src[pos].astype(fill_dtype,
-                                                         copy=False)
-                continue
-            col = _default_fill(nq, src, default[out_name])
-            col[hit] = src[pos_hit].astype(col.dtype, copy=False)
-            out_cols[out_name] = col
+            head = (src[:1] if keep_dtype
+                    else _default_fill(1, src, default[out_name]))
+            out_cols[out_name] = np.concatenate((head, src))[slot]
         return queries.with_cols(**out_cols)
 
     def _exec_reduce(self, table: Table, key: np.ndarray, by, aggs,

@@ -35,6 +35,8 @@ verification (never assumed). The rule set:
     * ``binary-search`` — the eager kernel, used when the key range is
       too wide to address directly (e.g. packed composite keys).
 
+    Each resolves the join to one slot vector (:class:`JoinPlan`).
+
 The message-level engine accepts only check elisions and fusion facts:
 its transport schedule is the physical ground truth the planner must
 keep bit-identical, so no exchange is ever skipped there (see
@@ -49,7 +51,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import ProtocolError
+from .kernels import check_unique_sorted, search_slots, stable_argsort
 
 __all__ = ["JoinPlan", "Optimizer", "DIRECT_SPAN_SLACK"]
 
@@ -66,14 +68,12 @@ class JoinPlan:
 
     ``order`` is the stable sort order of the data keys (``None`` when
     they are already sorted — matching the eager ``_sorted_order``
-    contract); ``pos``/``hit`` are the resolved join positions *in
-    sorted-data coordinates*, valid wherever ``hit`` holds.
+    contract); ``slot`` holds, per query, the 1-based position of its
+    data row *in sorted-data coordinates*, 0 on a miss.
     """
 
     order: Optional[np.ndarray]
-    dks: np.ndarray
-    pos: np.ndarray
-    hit: np.ndarray
+    slot: np.ndarray
 
 
 class Optimizer:
@@ -121,7 +121,7 @@ class Optimizer:
         else:
             node.status = "executed"
             node.physical = "argsort-permute"
-            order = np.argsort(key, kind="stable")
+            order = stable_argsort(key)
             out = {k: v[order] for k, v in cols.items()}
         if node.key_col is not None:
             out_key = out[node.key_col]
@@ -172,7 +172,7 @@ class Optimizer:
             node.note = "input already grouped by key"
             return None
         node.physical = "sort-reduceat"
-        return np.argsort(key, kind="stable")
+        return stable_argsort(key)
 
     # -- rule: join-operator-selection -------------------------------------------
 
@@ -182,9 +182,7 @@ class Optimizer:
         nd, nq = len(dk), len(qk)
         if nd == 0:
             node.physical = "empty-data"
-            return JoinPlan(order=None, dks=dk,
-                            pos=np.zeros(nq, dtype=np.int64),
-                            hit=np.zeros(nq, dtype=bool))
+            return JoinPlan(order=None, slot=np.zeros(nq, dtype=np.int64))
         # 1. sortedness: structural fact, memoised discovery, or argsort
         if fused or data_sorted_known:
             self.facts.mark(dk, sorted=True, unique=True if fused else None)
@@ -192,7 +190,7 @@ class Optimizer:
             order = None
             dks = dk
         else:
-            order = np.argsort(dk, kind="stable")
+            order = stable_argsort(dk)
             dks = dk[order]
         # 2. uniqueness (lookup only): elide when known, else verify once
         unique = None
@@ -202,11 +200,7 @@ class Optimizer:
                 node.note = (node.note + "; " if node.note else "") + \
                     "dup-check elided"
             else:
-                if len(dks) > 1 and np.any(dks[1:] == dks[:-1]):
-                    dup = dks[1:][dks[1:] == dks[:-1]][0]
-                    raise ProtocolError(
-                        f"lookup data has duplicate key {int(dup)}"
-                    )
+                check_unique_sorted(dks)
                 if order is None:
                     self.facts.mark(dk, unique=True)
             unique = True
@@ -225,37 +219,27 @@ class Optimizer:
                 node.reuse = True
                 node.note = (node.note + "; " if node.note else "") + \
                     "address table reused"
-            inside = (qk >= lo) & (qk <= hi) if exact else (qk >= lo)
-            raw = table[np.clip(qk - lo, 0, span - 1)]
-            hit = inside & (raw >= 0)
-            # misses keep raw (-1): join kernels only gather hit rows,
-            # so the eager engines' position clipping is not re-done
-            pos = raw
+            # the zero pads answer every query outside [lo, hi]
+            idx = qk - lo
+            idx += 1
+            slot = table[np.clip(idx, 0, span + 1, out=idx)]
             node.physical = ("dense-gather" if unique and span == nd
                             else "direct-address")
         else:
             node.physical = "binary-search"
-            if exact:
-                pos = np.searchsorted(dks, qk, side="left")
-                inside = pos < nd
-                pos = np.minimum(pos, nd - 1)
-                hit = inside & (dks[pos] == qk)
-            else:
-                pos = np.searchsorted(dks, qk, side="right") - 1
-                hit = pos >= 0
-                pos = np.maximum(pos, 0)
-        return JoinPlan(order=order, dks=dks, pos=pos, hit=hit)
+            slot = search_slots(dks, qk, exact=exact)
+        return JoinPlan(order=order, slot=slot)
 
     def _address_table(self, dks, lo, span, *, exact, first_wins,
                        cache=True):
-        """The range-indexed position table for ``dks``, built once.
+        """The slot table for ``dks``: entry ``k - lo + 1`` holds key
+        ``k``'s slot, with a zero pad at each end. Built once.
 
-        For equi-joins the table reproduces ``searchsorted(..,
-        "left")``: with duplicate data keys the *first* occurrence wins,
-        so the scatter runs in reverse order when uniqueness is not
-        established. For predecessor joins a running maximum turns the
-        scatter into "last data row with key <= offset" — identical to
-        ``searchsorted(.., "right") - 1`` (last duplicate wins).
+        Equi-join tables reproduce :func:`~repro.mpc.kernels.search_slots`:
+        the *first* of duplicate data keys wins, so the scatter runs in
+        reverse unless uniqueness is established. For predecessor joins
+        a running maximum makes entry ``k`` the last row with key <= k
+        (last duplicate wins) and carries the last slot into the pad.
         """
         kind = "exact" if exact else "pred"
         key = (id(dks), kind)  # per kind: mixed lookup/predecessor
@@ -267,14 +251,16 @@ class Optimizer:
             # request is legal (uniqueness proven => no duplicates)
             if ref() is dks and elo == lo:
                 return table, True
-        fwd = np.full(span, -1, dtype=np.int64)
-        idx = np.arange(len(dks), dtype=np.int64)
+        fwd = np.zeros(span + 2, dtype=np.int64)
+        at = dks - lo
+        at += 1
+        slots = np.arange(1, len(dks) + 1, dtype=np.int64)
         if exact and first_wins:
-            fwd[dks[::-1] - lo] = idx[::-1]
+            fwd[at[::-1]] = slots[::-1]
         else:
-            fwd[dks - lo] = idx
+            fwd[at] = slots
         if not exact:
-            fwd = np.maximum.accumulate(fwd)
+            np.maximum.accumulate(fwd, out=fwd)
         if cache:
             self._addr_cache[key] = (
                 weakref.ref(dks,

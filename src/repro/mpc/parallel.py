@@ -58,6 +58,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutorError, ValidationError, WorkerCrashed
+from .kernels import stable_argsort
 
 __all__ = [
     "ShmBlock",
@@ -230,15 +231,15 @@ def _task_sort(payload: Dict) -> Dict:
 
     The elision decision already happened in the parent (the key is
     known unsorted), so this is pure mechanical work: the same
-    ``np.argsort(kind="stable")`` the inline executor runs, hence a
-    bit-identical permutation.
+    :func:`~repro.mpc.kernels.stable_argsort` the inline executor runs,
+    hence a bit-identical permutation.
     """
     block: ShmBlock = payload["block"]
     key_name: str = payload["key"]
     shm, cols = attach_columns(block)
     try:
         key = cols.pop("__key__") if "__key__" in cols else cols[key_name]
-        order = np.argsort(key, kind="stable")
+        order = stable_argsort(key)
         out = {name: arr[order] for name, arr in cols.items()}
     finally:
         shm.close()

@@ -697,12 +697,8 @@ class Planner:
             data_sorted_known=bool(fused) or self._sorted_by_props(
                 dprops, tuple(dkey)),
         )
-        if exact:
-            out = rt._exec_lookup(qtab, qk, dtab, dk, payload, default,
-                                  False, jp)
-        else:
-            out = rt._exec_predecessor(qtab, qk, dtab, dk, payload, default,
-                                       jp)
+        out = rt._exec_join(qtab, qk, dtab, dk, payload, default, jp,
+                            exact=exact)
         rt.tracker.record_wall(prim, time.perf_counter() - t0)
         if node.status == "pending":
             node.status = "executed"

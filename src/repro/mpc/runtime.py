@@ -56,12 +56,44 @@ POS_INF = float("inf")
 AGG_OPS = ("sum", "max", "min")
 
 
+def _pack_words(names: Sequence[str], columns) -> list:
+    """Pack key columns of one or more tables ("sides") with shared bounds.
+
+    ``columns[i]`` holds key column ``names[i]`` of every side. Each
+    column is shifted by its minimum over all sides and assigned a
+    stride equal to the product of later columns' ranges; returns one
+    int64 word array per side. Raises
+    :class:`~repro.errors.KeyPackingError` if 63 bits do not suffice.
+    """
+    bounds = []
+    for name, arrs in zip(names, columns):
+        dtype = np.result_type(*arrs)
+        if dtype.kind != "i":
+            raise KeyPackingError(f"key column {name!r} must be integer")
+        present = [a for a in arrs if len(a)]
+        if not present:
+            return [np.empty(0, dtype=np.int64) for _ in arrs]
+        lo = min(int(a.min()) for a in present)
+        hi = max(int(a.max()) for a in present)
+        bounds.append((dtype, lo, hi - lo + 1))
+    words = [np.zeros(len(a), dtype=np.int64) for a in columns[0]]
+    stride = 1
+    for arrs, (dtype, lo, rng) in zip(reversed(columns), reversed(bounds)):
+        for w, a in zip(words, arrs):
+            w += (a.astype(dtype, copy=False) - lo) * stride
+        stride *= rng
+        if stride > 1 << 62:
+            raise KeyPackingError(
+                f"composite key {list(names)} exceeds 62 bits (stride {stride})"
+            )
+    return words
+
+
 def pack_columns(table: Table, cols: Sequence[str]) -> np.ndarray:
     """Pack integer key columns into one int64 preserving lexicographic order.
 
-    Each column is shifted to be non-negative and assigned a stride equal
-    to the product of later columns' ranges. Raises
-    :class:`~repro.errors.KeyPackingError` if 63 bits do not suffice.
+    A single integer column is returned as is; see :func:`_pack_words`
+    for the packing of several.
     """
     cols = list(cols)
     if not cols:
@@ -71,29 +103,7 @@ def pack_columns(table: Table, cols: Sequence[str]) -> np.ndarray:
         if arr.dtype.kind != "i":
             raise KeyPackingError(f"key column {cols[0]!r} must be integer")
         return arr
-    arrays = []
-    ranges = []
-    for c in cols:
-        arr = table.col(c)
-        if arr.dtype.kind != "i":
-            raise KeyPackingError(f"key column {c!r} must be integer")
-        if len(arr) == 0:
-            return np.empty(0, dtype=np.int64)
-        lo = int(arr.min())
-        hi = int(arr.max())
-        arrays.append(arr - lo)
-        ranges.append(hi - lo + 1)
-    packed = np.zeros(len(arrays[0]), dtype=np.int64)
-    limit = 1 << 62
-    stride = 1
-    for arr, rng in zip(reversed(arrays), reversed(ranges)):
-        packed = packed + arr * stride
-        stride *= rng
-        if stride > limit:
-            raise KeyPackingError(
-                f"composite key {cols} exceeds 62 bits (stride {stride})"
-            )
-    return packed
+    return _pack_words(cols, [(table.col(c),) for c in cols])[0]
 
 
 def pack_pair(
@@ -102,8 +112,10 @@ def pack_pair(
     """Pack composite keys of two tables with *shared* bounds.
 
     Keys joined across tables must be packed with identical offsets and
-    strides, otherwise equal tuples pack to different words. Returns the
-    packed key arrays ``(left_keys, right_keys)``.
+    strides, otherwise equal tuples pack to different words. The words
+    are those :func:`pack_columns` gives the two tables concatenated,
+    without building the concatenation. Returns the packed key arrays
+    ``(left_keys, right_keys)``.
     """
     lcols, rcols = list(lcols), list(rcols)
     if len(lcols) != len(rcols):
@@ -114,15 +126,10 @@ def pack_pair(
         if lk.dtype.kind != "i" or rk.dtype.kind != "i":
             raise KeyPackingError("join keys must be integer columns")
         return lk, rk
-    nl, nr = len(left), len(right)
-    combined = Table(
-        {
-            f"k{i}": np.concatenate([left.col(lc), right.col(rc)])
-            for i, (lc, rc) in enumerate(zip(lcols, rcols))
-        }
-    )
-    packed = pack_columns(combined, [f"k{i}" for i in range(len(lcols))])
-    return packed[:nl], packed[nl:]
+    names = [f"k{i}" for i in range(len(lcols))]
+    lk, rk = _pack_words(names, [(left.col(lc), right.col(rc))
+                                 for lc, rc in zip(lcols, rcols)])
+    return lk, rk
 
 
 def float_sort_key(values: np.ndarray) -> np.ndarray:

@@ -67,7 +67,7 @@ from .batching import QUERY_OPS
 from .chaos import ChaosInjector, ChaosPlan
 from .metrics import RouterMetrics
 from .placement import Placement
-from .supervision import Supervisor
+from .supervision import STOP_DEADLINE_S, Supervisor
 from .worker_proc import WorkerSpec, worker_entry
 
 __all__ = ["RouterConfig", "RouterTier", "WorkerLink", "BinaryWorkerLink"]
@@ -564,14 +564,18 @@ class RouterTier:
     async def serve_forever(self) -> None:
         await self._shutdown.wait()
 
-    async def stop(self) -> None:
-        """Shut the whole tree down: door, pollers, workers, spool."""
+    async def stop(self) -> Dict:
+        """Shut the whole tree down: door, pollers, workers, spool.
+
+        Returns ``{"missed_deadline": [...]}``: background tasks still
+        running ``STOP_DEADLINE_S`` after their cancel.
+        """
         if self._stopped:
-            return
+            return {"missed_deadline": []}
         self._stopped = True
         for injector in self._injectors:
             await injector.stop()
-        await self.supervisor.stop()
+        missed = await self.supervisor.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -580,12 +584,15 @@ class RouterTier:
             writer.close()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        pollers = [w.poller for w in self.workers.values()
-                   if w.poller is not None]
-        for t in pollers:
+        pollers = {w.worker_id: w.poller for w in self.workers.values()
+                   if w.poller is not None}
+        for t in pollers.values():
             t.cancel()
         if pollers:
-            await asyncio.gather(*pollers, return_exceptions=True)
+            _, late = await asyncio.wait(pollers.values(),
+                                         timeout=STOP_DEADLINE_S)
+            missed += [f"poller:{wid}" for wid, t in pollers.items()
+                       if t in late]
         for w in self.workers.values():
             w.poller = None
         loop = asyncio.get_running_loop()
@@ -605,6 +612,7 @@ class RouterTier:
             self._own_spool.cleanup()
             self._own_spool = None
         self._shutdown.set()
+        return {"missed_deadline": missed}
 
     # -- instance placement ----------------------------------------------------
 
@@ -1071,25 +1079,27 @@ class RouterTier:
         worker's stale depth would keep feeding it traffic. When the
         telemetry link itself is down the loop ends; the supervisor
         restarts it after healing or respawning the worker.
+
+        It also ends once the tier stops or this task is no longer
+        ``w.poller``: before Python 3.12, ``asyncio.wait_for`` in the
+        request drops a cancel that races the reply.
         """
-        try:
-            while True:
-                try:
-                    resp = await w.telemetry.request(
-                        {"op": "depth"}, timeout_s=5.0)
-                    if resp.get("ok"):
-                        w.depth = resp["result"]
-                        self.metrics.depth_polls += 1
-                except (ServiceError, asyncio.TimeoutError):
-                    self.metrics.worker_errors += 1
-                    w.depth = {}
-                    if w.telemetry._dead:
-                        return
-                    await asyncio.sleep(
-                        max(0.2, self.config.depth_poll_s * 5))
-                await asyncio.sleep(self.config.depth_poll_s)
-        except asyncio.CancelledError:
-            raise
+        me = asyncio.current_task()
+        while not self._stopped and w.poller is me:
+            try:
+                resp = await w.telemetry.request(
+                    {"op": "depth"}, timeout_s=5.0)
+                if resp.get("ok"):
+                    w.depth = resp["result"]
+                    self.metrics.depth_polls += 1
+            except (ServiceError, asyncio.TimeoutError):
+                self.metrics.worker_errors += 1
+                w.depth = {}
+                if w.telemetry._dead:
+                    return
+                await asyncio.sleep(
+                    max(0.2, self.config.depth_poll_s * 5))
+            await asyncio.sleep(self.config.depth_poll_s)
 
     # -- dispatch --------------------------------------------------------------
 
@@ -1389,7 +1399,8 @@ class RouterTier:
         connection's FIFO contract.
         """
         iids = np.frombuffer(payload, dtype=wire.POINT_DTYPE)["iid"]
-        cuts = [0, *(np.flatnonzero(np.diff(iids)) + 1), len(iids)]
+        # plain ints: segment counts feed the JSON-encoded metrics
+        cuts = [0, *(np.flatnonzero(np.diff(iids)) + 1).tolist(), len(iids)]
         loop = asyncio.get_running_loop()
         parts = [
             loop.create_task(self._relay_segment(

@@ -61,6 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["GenerationLedger", "LedgerEntry", "RestartPolicy",
            "Supervisor"]
 
+#: How long a stop waits for the background tasks it cancelled to end.
+STOP_DEADLINE_S = 2.0
+
 
 @dataclass
 class LedgerEntry:
@@ -180,16 +183,24 @@ class Supervisor:
             self._watch_task = asyncio.get_running_loop().create_task(
                 self._watch())
 
-    async def stop(self) -> None:
-        tasks = [t for t in (self._watch_task, *self._recovering.values(),
-                             *self._resyncs) if t is not None]
+    async def stop(self) -> List[str]:
+        """Cancel every background task; returns the names of those still
+        running :data:`STOP_DEADLINE_S` later."""
+        tasks = {f"recover:{wid}": t for wid, t in self._recovering.items()}
+        tasks.update((f"resync:{i}", t) for i, t in enumerate(self._resyncs))
+        if self._watch_task is not None:
+            tasks["watch"] = self._watch_task
         self._watch_task = None
-        for t in tasks:
+        for t in tasks.values():
             t.cancel()
+        late = set()
         if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            _, late = await asyncio.wait(tasks.values(),
+                                         timeout=STOP_DEADLINE_S)
         self._recovering.clear()
         self._resyncs.clear()
+        return [f"supervisor:{name}" for name, t in tasks.items()
+                if t in late]
 
     # -- death detection -------------------------------------------------------
 
@@ -212,9 +223,11 @@ class Supervisor:
         self._recovering[w.worker_id] = task
 
     async def _watch(self) -> None:
-        """Sentinel + heartbeat loop over every in-rotation worker."""
+        """Sentinel + heartbeat loop over every in-rotation worker; ends
+        once the router stops, even if a ping's ``wait_for`` dropped the
+        cancel (before Python 3.12 it can)."""
         cfg = self.router.config
-        while True:
+        while not self.router._stopped:
             await asyncio.sleep(cfg.heartbeat_s)
             for w in list(self.router.workers.values()):
                 if not w.up or self.router._stopped:

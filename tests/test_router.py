@@ -14,6 +14,7 @@ client disconnect errors — runs in-process.
 import asyncio
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +281,71 @@ class TestRouterTier:
                 assert stats.answered + stats.type_errors >= 300 - stats.shed
             finally:
                 await rt.stop()
+
+        run(scenario())
+
+
+class TestRouterShutdown:
+    """The ``metrics`` op after interleaved binary traffic, and a stop()
+    that stays bounded however the storm before it ended."""
+
+    STOP_BUDGET_S = 5.0
+
+    @staticmethod
+    def _instances():
+        graphs = {f"g{i}": make_graph(n=60, seed=20 + i) for i in range(3)}
+        return {name: (g, build_oracle(g)) for name, g in graphs.items()}
+
+    @staticmethod
+    async def _interleaved_run(instances, seed):
+        """Boot a 2-worker tier and relay one binary run whose frames
+        alternate between the three instances."""
+        rt = RouterTier(RouterConfig(workers=2, replication=2, shards=2,
+                                     port=0, batch_window_s=0.001))
+        await rt.start(serve_tcp=True)
+        for name, (g, oracle) in instances.items():
+            await rt.add_instance(name, g, oracle=oracle)
+        host, port = rt.tcp_address
+        plan = make_plan({name: g.m for name, (g, _) in instances.items()},
+                         300, seed=seed)
+        stats = await run_tcp(host, port, plan, clients=2, pipeline=32,
+                              wire_mode="binary")
+        assert stats.errors == 0
+        return rt, stats
+
+    def test_metrics_answer_after_interleaved_binary_run(self):
+        async def scenario():
+            rt, stats = await self._interleaved_run(self._instances(), 3)
+            try:
+                host, port = rt.tcp_address
+                for mode in ("json", "binary"):
+                    client = await ServiceClient.connect(host, port,
+                                                         wire_mode=mode)
+                    try:
+                        r = await asyncio.wait_for(client.call("metrics"),
+                                                   10.0)
+                    finally:
+                        await client.close()
+                    assert r["ok"], (mode, r)
+                    router = r["result"]["router"]
+                    assert router["forwarded"] >= stats.answered > 0
+                assert type(rt.metrics.forwarded) is int
+                assert type(rt.metrics.shed_router) is int
+            finally:
+                await rt.stop()
+
+        run(scenario())
+
+    def test_stop_is_bounded_after_every_storm(self):
+        async def scenario():
+            instances = self._instances()
+            for i in range(20):
+                rt, _ = await self._interleaved_run(instances, i)
+                t0 = time.perf_counter()
+                report = await rt.stop()
+                took = time.perf_counter() - t0
+                assert report == {"missed_deadline": []}, (i, report)
+                assert took < self.STOP_BUDGET_S, (i, took)
 
         run(scenario())
 
