@@ -24,7 +24,6 @@ from (and contribute to) a stage cache.
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from ..graph.graph import WeightedGraph
@@ -40,27 +39,6 @@ def distributed_hint(graph: WeightedGraph) -> int:
     return 48 * graph.total_words() + 8192
 
 
-def _legacy_internals(rt: Runtime, run, nontree_index, root: int) -> dict:
-    """The dict the deprecated ``_internals`` kwarg used to smuggle out."""
-    arts = run.artifacts
-    halves = arts["adgraph"].half_edges()
-    return dict(
-        rt=rt,
-        parent=arts["rooting"].parent,
-        wpar=arts["rooting"].wpar,
-        low=arts["dfs"].low,
-        high=arts["dfs"].high,
-        d_hat=arts["diameter"].d_hat,
-        hierarchy=arts["clustering"].hierarchy,
-        halves=halves,
-        labeled=arts["labels"].labeled(halves),
-        pm_half=arts["pathmax"].pm_half,
-        pathmax=arts["decide"].pathmax,
-        nontree_index=nontree_index,
-        root=root,
-    )
-
-
 def verify_mst(
     graph: WeightedGraph,
     engine: str = "local",
@@ -70,7 +48,6 @@ def verify_mst(
     runtime: Optional[Runtime] = None,
     reduction_exponent: float = 1.0,
     coin_bias: float = 0.5,
-    _internals: Optional[dict] = None,
     store=None,
 ) -> VerificationResult:
     """Decide whether the flagged tree of ``graph`` is an MST.
@@ -90,30 +67,13 @@ def verify_mst(
         Optional :class:`~repro.pipeline.ArtifactStore`; cached stages
         are replayed (bit-identical results *and* charged rounds) and
         newly computed ones contributed back.
-    _internals:
-        Deprecated. Use the artifact API instead:
-        :func:`repro.pipeline.run_verification` returns the
-        :class:`~repro.pipeline.PipelineRun` whose typed artifacts
-        supersede this dict. If a dict is passed it is still filled for
-        backwards compatibility (on a completed pipeline).
     """
     from ..pipeline import run_verification
 
-    if _internals is not None:
-        warnings.warn(
-            "verify_mst(_internals=...) is deprecated; use "
-            "repro.pipeline.run_verification which returns typed stage "
-            "artifacts (and shares them through an ArtifactStore)",
-            DeprecationWarning, stacklevel=2,
-        )
-    result, run = run_verification(
+    result, _run = run_verification(
         graph, engine=engine, config=config, root=root,
         oracle_labels=oracle_labels, runtime=runtime,
         reduction_exponent=reduction_exponent, coin_bias=coin_bias,
         store=store,
     )
-    if _internals is not None and result.failed_stage is None:
-        _internals.update(
-            _legacy_internals(run.rt, run, result.nontree_index, root)
-        )
     return result

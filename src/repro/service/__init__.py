@@ -40,8 +40,10 @@ versioned binary columnar protocol (:mod:`repro.service.wire`) rides
 the *same* TCP ports — the first byte of a connection disambiguates —
 with fixed 16-byte point frames, columnar bulk frames, a per-
 connection ``hello`` symbol handshake (:class:`WireSymbols`) and a
-JSON *escape frame* for control ops. The router relays binary frames
-with zero JSON parser invocations (header peek + byte counting), and
+JSON *escape frame* for control ops. Inside the fleet it is the only
+format: the router relays binary frames with zero JSON parser
+invocations (header peek + byte counting), packs JSON-door queries into
+the same frames, and sends control ops and telemetry as escape frames;
 :class:`WireMetrics` counters prove it. See DESIGN.md §6.5.
 
 Entry points: ``python -m repro serve`` / ``python -m repro route``
@@ -56,7 +58,7 @@ from .metrics import (LatencyReservoir, RouterMetrics, ShardMetrics,
                       StreamMetrics, SupervisorMetrics, UpdateMetrics,
                       merged_latency)
 from .placement import Placement
-from .router import BinaryWorkerLink, RouterConfig, RouterTier, WorkerLink
+from .router import BinaryWorkerLink, RouterConfig, RouterTier
 from .server import SensitivityService, ServiceClient, ServiceConfig
 from .wire import WIRE_VERSION, WireError, WireMetrics, WireSymbols
 from .shards import OracleShard, ShardSpec, plan_shards, route
@@ -88,7 +90,6 @@ __all__ = [
     "BinaryWorkerLink",
     "RouterConfig",
     "RouterTier",
-    "WorkerLink",
     "WIRE_VERSION",
     "WireError",
     "WireMetrics",

@@ -36,17 +36,19 @@ state:
   lives in :mod:`repro.service.chaos` (``--chaos`` / the ``chaos``
   wire op).
 
-Forwarding is deliberately thin: worker links are pipelined JSON-lines
-connections with FIFO correlation (the service writes responses in
-request order), and on the hot read path the router forwards the
-client's raw request line and relays the worker's raw response line —
-one ``json.loads`` for routing, zero re-serialisation.
+Inside the fleet there is one data plane: every router↔worker hop is
+a pipelined binary connection (:class:`BinaryWorkerLink`) with FIFO
+correlation by byte count. Point queries relay as 16-byte frames —
+binary runs are spliced as raw bytes, and a JSON query is packed into
+a frame at the door and its answer rebuilt into the exact JSON
+envelope — while control ops, telemetry and odd-shaped queries ride
+JSON inside escape frames. JSON lines exist only at the client-facing
+door (:class:`~repro.service.door.FrontDoor`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import tempfile
 import time
@@ -65,12 +67,13 @@ from ..serialize import file_digest
 from . import wire
 from .batching import QUERY_OPS
 from .chaos import ChaosInjector, ChaosPlan
+from .door import FrontDoor
 from .metrics import RouterMetrics
 from .placement import Placement
 from .supervision import STOP_DEADLINE_S, Supervisor
 from .worker_proc import WorkerSpec, worker_entry
 
-__all__ = ["RouterConfig", "RouterTier", "WorkerLink", "BinaryWorkerLink"]
+__all__ = ["RouterConfig", "RouterTier", "BinaryWorkerLink"]
 
 
 @dataclass
@@ -105,14 +108,18 @@ class RouterConfig:
     chaos: Optional[str] = None      #: fault-injection spec (ChaosPlan)
 
 
-class WorkerLink:
-    """One pipelined JSON-lines connection with FIFO correlation.
+class BinaryWorkerLink:
+    """One pipelined binary connection to a worker, byte-counted.
 
-    The service endpoint writes responses strictly in request order, so
-    correlation is a deque of futures: the k-th response line resolves
-    the k-th outstanding request. Many requests ride one connection
-    concurrently; a lost connection fails every outstanding future with
-    a structured :class:`~repro.errors.ServiceError` instead of leaking
+    Every router↔worker exchange rides these links: query relays,
+    control ops and telemetry. The worker answers in request order and
+    answers a run of k point frames with exactly 16k bytes (errors
+    included), so correlation is a deque of ``(nbytes, fut)`` entries
+    and the read loop never inspects a payload — it only counts bytes.
+    An escape frame (a JSON op) enqueues ``(None, fut)``: its answer's
+    length comes from the 8-byte header alone. A lost connection fails
+    every outstanding future with a structured
+    :class:`~repro.errors.ServiceError` instead of leaking
     ``ConnectionResetError`` into the router's forwarding paths.
     """
 
@@ -122,103 +129,6 @@ class WorkerLink:
         self._writer = writer
         self._pending: deque = deque()
         self._dead = False
-        self._task = asyncio.get_running_loop().create_task(self._read_loop())
-
-    @classmethod
-    async def connect(cls, host: str, port: int,
-                      timeout_s: float = 10.0) -> "WorkerLink":
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout_s)
-        except (OSError, asyncio.TimeoutError) as exc:
-            raise ServiceError(f"worker connect {host}:{port} failed: {exc}",
-                               kind="disconnected")
-        return cls(reader, writer)
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                if self._pending:
-                    fut = self._pending.popleft()
-                    if not fut.done():
-                        fut.set_result(line)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            self._dead = True
-            while self._pending:
-                fut = self._pending.popleft()
-                if not fut.done():
-                    fut.set_exception(ServiceError(
-                        "worker connection lost with requests in flight",
-                        kind="disconnected"))
-
-    async def request_raw(self, line: bytes) -> bytes:
-        """Send one already-framed request line, await its response line."""
-        if self._dead:
-            raise ServiceError("worker link is down", kind="disconnected")
-        fut = asyncio.get_running_loop().create_future()
-        self._pending.append(fut)       # append + write: one atomic step
-        self._writer.write(line)
-        try:
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            if not fut.done():
-                self._pending.remove(fut)
-                fut.cancel()
-            raise ServiceError(f"worker link write failed: {exc}",
-                               kind="disconnected")
-        return await fut
-
-    async def request(self, req: Dict,
-                      timeout_s: Optional[float] = None) -> Dict:
-        """Parsed request/response (control + telemetry paths)."""
-        line = wire.dumps_line(req)
-        if timeout_s is None:
-            raw = await self.request_raw(line)
-        else:
-            raw = await asyncio.wait_for(self.request_raw(line), timeout_s)
-        return json.loads(raw)
-
-    async def close(self) -> None:
-        self._task.cancel()
-        try:
-            await self._task
-        except asyncio.CancelledError:
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-
-class BinaryWorkerLink:
-    """One pipelined *binary* connection with byte-counted correlation.
-
-    The router's zero-parse relay rides these: a run of k point frames
-    is answered by exactly 16k response bytes in FIFO order (the worker
-    answers every point frame with one fixed-width frame, errors
-    included), so correlation is a deque of ``("fixed", nbytes, fut)``
-    entries and the read loop never inspects a payload — it only counts
-    bytes. Escape round-trips (the re-hello path) enqueue a
-    ``("frame", None, fut)`` entry, whose length comes from the 8-byte
-    header alone. No JSON parser ever runs on this connection's data
-    path.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
-        self._pending: deque = deque()
-        self._have_work = asyncio.Event()
-        self._buf = bytearray()
-        self._dead = False
-        self.version = 0          #: symbol-table size last negotiated
         self._task = asyncio.get_running_loop().create_task(self._read_loop())
 
     @classmethod
@@ -257,72 +167,57 @@ class BinaryWorkerLink:
             raise ServiceError(
                 f"worker {host}:{port} rejected hello: {resp.get('error')}",
                 kind="protocol")
-        link = cls(reader, writer)
-        link.version = len(names)
-        return link
-
-    async def _fill(self) -> None:
-        data = await self._reader.read(1 << 16)
-        if not data:
-            raise ConnectionError("worker closed the binary link")
-        self._buf += data
+        return cls(reader, writer)
 
     async def _read_loop(self) -> None:
+        """Always reading, so a closed connection is seen even while
+        idle; each complete answer resolves the oldest request."""
+        buf = bytearray()
         try:
-            while True:
-                if not self._pending:
-                    self._have_work.clear()
-                    await self._have_work.wait()
-                kind, nbytes, fut = self._pending[0]
-                if kind == "frame":
-                    while (need := wire.frame_length(self._buf)) is None:
-                        await self._fill()
-                else:
-                    need = nbytes
-                while len(self._buf) < need:
-                    await self._fill()
-                chunk = bytes(self._buf[:need])
-                del self._buf[:need]
-                self._pending.popleft()
-                if not fut.done():
-                    fut.set_result(chunk)
-        except (ConnectionError, OSError, asyncio.IncompleteReadError,
-                wire.WireError):
+            while data := await self._reader.read(1 << 16):
+                buf += data
+                while self._pending:
+                    need, fut = self._pending[0]
+                    if need is None:
+                        need = wire.frame_length(buf)
+                    if need is None or len(buf) < need:
+                        break
+                    chunk = bytes(buf[:need])
+                    del buf[:need]
+                    self._pending.popleft()
+                    if not fut.done():
+                        fut.set_result(chunk)
+        except (ConnectionError, OSError, wire.WireError):
             pass
         finally:
             self._dead = True
             while self._pending:
-                entry = self._pending.popleft()
-                if not entry[2].done():
-                    entry[2].set_exception(ServiceError(
+                _need, fut = self._pending.popleft()
+                if not fut.done():
+                    fut.set_exception(ServiceError(
                         "worker connection lost with requests in flight",
                         kind="disconnected"))
 
-    async def _submit(self, payload: bytes, entry) -> bytes:
+    async def relay(self, payload: bytes, nframes: int = 0) -> bytes:
+        """Send raw frames; await their raw answer — ``16 * nframes``
+        bytes for a run of point frames, or (``nframes=0``) the one
+        frame answering an escape frame. Pure byte splicing both ways."""
         if self._dead:
             raise ServiceError("worker link is down", kind="disconnected")
-        self._pending.append(entry)
-        self._have_work.set()
+        fut = asyncio.get_running_loop().create_future()
+        self._pending.append((nframes * wire.POINT_LEN or None, fut))
         self._writer.write(payload)
         try:
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             raise ServiceError(f"worker link write failed: {exc}",
                                kind="disconnected")
-        return await entry[2]
+        return await fut
 
-    async def request_run(self, payload: bytes, nframes: int) -> bytes:
-        """Relay a run of point frames; await its 16-byte-per-frame
-        answer block. Pure byte splicing on both directions."""
-        fut = asyncio.get_running_loop().create_future()
-        return await self._submit(
-            payload, ("fixed", nframes * wire.POINT_LEN, fut))
-
-    async def request_escape(self, req: Dict,
-                             timeout_s: Optional[float] = None) -> Dict:
-        """One JSON control op over the binary link (re-hello)."""
-        fut = asyncio.get_running_loop().create_future()
-        coro = self._submit(wire.encode_escape(req), ("frame", None, fut))
+    async def request(self, req: Dict,
+                      timeout_s: Optional[float] = None) -> Dict:
+        """One JSON op as an escape frame (control, telemetry)."""
+        coro = self.relay(wire.encode_escape(req))
         raw = (await coro if timeout_s is None
                else await asyncio.wait_for(coro, timeout_s))
         return wire.decode_escape(raw)
@@ -346,14 +241,13 @@ class _Worker:
 
     worker_id: int
     proc: object
+    boot: object                     #: boot pipe; its EOF stops the worker
     port: int
-    links: List[WorkerLink]          #: pipelined query links (round-robin)
-    control: WorkerLink              #: adopt/swap/update/shutdown
-    telemetry: WorkerLink            #: depth polls + metrics scrapes
-    bin_links: List[BinaryWorkerLink] = field(default_factory=list)
+    query_links: List[BinaryWorkerLink]  #: relay links (round-robin)
+    control: BinaryWorkerLink        #: adopt/swap/update/hello/shutdown
+    telemetry: BinaryWorkerLink      #: depth polls, pings, metrics
     depth: Dict = field(default_factory=dict)
-    rr: int = 0
-    bin_rr: int = 0
+    query_rr: int = 0
     wire_version: int = 0            #: symbols dictated to this process
     up: bool = True                  #: in rotation (supervisor-managed)
     stale: set = field(default_factory=set)  #: instances pending resync
@@ -361,22 +255,13 @@ class _Worker:
     poller: Optional[asyncio.Task] = None
 
     def all_links(self):
-        return (*self.links, *self.bin_links, self.control, self.telemetry)
+        return (*self.query_links, self.control, self.telemetry)
 
-    def live_link(self) -> Optional[WorkerLink]:
+    def live_query_link(self) -> Optional[BinaryWorkerLink]:
         """Next non-dead query link, or ``None`` when all are down."""
-        for _ in range(len(self.links)):
-            self.rr += 1
-            link = self.links[self.rr % len(self.links)]
-            if not link._dead:
-                return link
-        return None
-
-    def live_bin_link(self) -> Optional[BinaryWorkerLink]:
-        """Next non-dead binary relay link, or ``None``."""
-        for _ in range(len(self.bin_links)):
-            self.bin_rr += 1
-            link = self.bin_links[self.bin_rr % len(self.bin_links)]
+        for _ in range(len(self.query_links)):
+            self.query_rr += 1
+            link = self.query_links[self.query_rr % len(self.query_links)]
             if not link._dead:
                 return link
         return None
@@ -384,7 +269,7 @@ class _Worker:
     def routable(self, instance: str) -> bool:
         """May this worker serve reads of ``instance`` right now?"""
         return (self.up and instance not in self.stale
-                and any(not link._dead for link in self.links))
+                and any(not link._dead for link in self.query_links))
 
 
 @dataclass
@@ -392,6 +277,7 @@ class _Placed:
     """One routed instance: its replica set and routing facts."""
 
     name: str
+    iid: int                         #: wire symbol id
     m: int
     n: int
     m_tree: int
@@ -401,10 +287,8 @@ class _Placed:
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
-class RouterTier:
+class RouterTier(FrontDoor):
     """Front door + placement + snapshot shipping over worker processes."""
-
-    PIPELINE_LIMIT = 1024
 
     def __init__(self, config: Optional[RouterConfig] = None):
         self.config = config or RouterConfig()
@@ -415,16 +299,11 @@ class RouterTier:
         self.instances: Dict[str, _Placed] = {}
         self.metrics = RouterMetrics()
         self.started_at: Optional[float] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown = asyncio.Event()
-        self._conn_tasks: set = set()
-        self._conn_writers: set = set()
+        super().__init__()
         self.supervisor = Supervisor(self)
         #: router-owned symbol registry; its id order is dictated to
         #: every worker so relayed binary frames never rewrite iids
         self.wire_symbols = wire.WireSymbols()
-        self.wire = {"json": wire.WireMetrics(),
-                     "binary": wire.WireMetrics()}
         self._injectors: List[ChaosInjector] = []
         self._spool = self.config.mmap_dir
         self._own_spool: Optional[tempfile.TemporaryDirectory] = None
@@ -443,10 +322,10 @@ class RouterTier:
         boots = [(wid, *self._launch_worker(wid))
                  for wid in range(self.config.workers)]
         deadline = time.perf_counter() + self.config.spawn_timeout_s
-        for wid, proc, conn in boots:
+        for wid, proc, boot in boots:
             try:
-                port = await self._await_ready(wid, proc, conn, deadline)
-                worker = await self._connect_worker(wid, proc, port)
+                port = await self._await_ready(wid, boot, deadline)
+                worker = await self._connect_worker(wid, proc, boot, port)
             except ServiceError:
                 await self._kill_boots(boots)
                 raise
@@ -459,11 +338,16 @@ class RouterTier:
         if self.config.chaos:
             self.arm_chaos(ChaosPlan.parse(self.config.chaos))
         if serve_tcp:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port)
+            await self._open_door(self.config.host, self.config.port)
 
     def _launch_worker(self, wid: int):
-        """Fork one worker process; returns its handle + boot pipe."""
+        """Fork one worker process; returns its handle + boot pipe.
+
+        Both ends of the pipe stay open for the worker's life: the
+        worker stops when it reads EOF, so it dies with this router
+        however the router ends. TCP links are not tied to it, so a
+        severed link heals without stopping anything.
+        """
         ctx = get_context()
         parent_conn, child_conn = ctx.Pipe()
         spec = WorkerSpec(
@@ -483,39 +367,34 @@ class RouterTier:
         child_conn.close()
         return proc, parent_conn
 
-    async def _await_ready(self, wid: int, proc, conn,
-                           deadline: float) -> int:
+    async def _await_ready(self, wid: int, boot, deadline: float) -> int:
         """Wait for one worker's ``("ready", wid, port)`` handshake."""
         loop = asyncio.get_running_loop()
         try:
             budget = max(0.1, deadline - time.perf_counter())
             msg = await asyncio.wait_for(
-                loop.run_in_executor(None, conn.recv), budget)
+                loop.run_in_executor(None, boot.recv), budget)
         except (asyncio.TimeoutError, EOFError, OSError):
+            boot.close()
             raise ServiceError(
                 f"worker {wid} failed its boot handshake within "
                 f"{self.config.spawn_timeout_s:.0f}s",
                 kind="disconnected")
-        finally:
-            conn.close()
         assert msg[0] == "ready" and msg[1] == wid
         return int(msg[2])
 
-    async def _connect_worker(self, wid: int, proc, port: int) -> _Worker:
+    async def _connect_worker(self, wid: int, proc, boot,
+                              port: int) -> _Worker:
+        # every dial's hello dictates the router's global symbol order
+        # to this (possibly fresh) process, so relayed frame iids mean
+        # the same instance on both sides of the splice
         host = self.config.worker_host
-        links = [await WorkerLink.connect(host, port)
-                 for _ in range(max(1, self.config.query_links))]
-        control = await WorkerLink.connect(host, port)
-        telemetry = await WorkerLink.connect(host, port)
-        # the binary hello dictates the router's global symbol order to
-        # this (possibly fresh) process, so relayed frame iids mean the
-        # same instance on both sides of the splice
         names = self.wire_symbols.names()
-        bin_links = [await BinaryWorkerLink.connect(host, port, names)
-                     for _ in range(max(1, self.config.query_links))]
-        return _Worker(worker_id=wid, proc=proc, port=port, links=links,
-                       control=control, telemetry=telemetry,
-                       bin_links=bin_links, wire_version=len(names))
+        links = [await BinaryWorkerLink.connect(host, port, names)
+                 for _ in range(max(1, self.config.query_links) + 2)]
+        return _Worker(worker_id=wid, proc=proc, boot=boot, port=port,
+                       query_links=links[2:], control=links[0],
+                       telemetry=links[1], wire_version=len(names))
 
     async def _respawn_worker(self, w: _Worker) -> None:
         """Boot a fresh process for a dead worker, reusing its identity.
@@ -524,27 +403,28 @@ class RouterTier:
         artifact cache of the old one; its serving state is rebuilt by
         the supervisor's ledger catch-up before it re-enters rotation.
         """
-        proc, conn = self._launch_worker(w.worker_id)
+        proc, boot = self._launch_worker(w.worker_id)
         deadline = time.perf_counter() + self.config.spawn_timeout_s
         try:
-            port = await self._await_ready(w.worker_id, proc, conn, deadline)
-            fresh = await self._connect_worker(w.worker_id, proc, port)
+            port = await self._await_ready(w.worker_id, boot, deadline)
+            fresh = await self._connect_worker(w.worker_id, proc, boot, port)
         except ServiceError:
+            boot.close()
             if proc.is_alive():
                 proc.terminate()
             raise
-        w.proc, w.port = fresh.proc, fresh.port
-        w.links, w.control = fresh.links, fresh.control
+        w.boot.close()
+        w.proc, w.boot, w.port = fresh.proc, fresh.boot, fresh.port
+        w.query_links, w.control = fresh.query_links, fresh.control
         w.telemetry = fresh.telemetry
-        w.bin_links = fresh.bin_links
         w.wire_version = fresh.wire_version
-        w.rr = 0
-        w.bin_rr = 0
+        w.query_rr = 0
         w.depth = {}
         w.chaos_delay_s = 0.0
 
     async def _kill_boots(self, boots) -> None:
-        for _wid, proc, _conn in boots:
+        for _wid, proc, boot in boots:
+            boot.close()
             if proc.is_alive():
                 proc.terminate()
 
@@ -554,15 +434,6 @@ class RouterTier:
         injector.start(self)
         self._injectors.append(injector)
         return injector
-
-    @property
-    def tcp_address(self) -> Optional[tuple]:
-        if self._server is None or not self._server.sockets:
-            return None
-        return self._server.sockets[0].getsockname()[:2]
-
-    async def serve_forever(self) -> None:
-        await self._shutdown.wait()
 
     async def stop(self) -> Dict:
         """Shut the whole tree down: door, pollers, workers, spool.
@@ -576,14 +447,7 @@ class RouterTier:
         for injector in self._injectors:
             await injector.stop()
         missed = await self.supervisor.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._conn_writers):
-            writer.close()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        await self._close_door()
         pollers = {w.worker_id: w.poller for w in self.workers.values()
                    if w.poller is not None}
         for t in pollers.values():
@@ -608,6 +472,7 @@ class RouterTier:
             if w.proc.is_alive():  # pragma: no cover - stuck worker
                 w.proc.terminate()
                 await loop.run_in_executor(None, w.proc.join, 5.0)
+            w.boot.close()
         if self._own_spool is not None:
             self._own_spool.cleanup()
             self._own_spool = None
@@ -662,10 +527,10 @@ class RouterTier:
                 raise ServiceError(
                     f"worker {w.worker_id} refused to adopt {name!r}: "
                     f"{resp.get('error')}")
-        self.wire_symbols.intern(name)
+        iid = self.wire_symbols.intern(name)
         await self._sync_all_symbols()  # before any frame can carry the iid
         self.instances[name] = _Placed(
-            name=name, m=graph.m, n=graph.n, m_tree=graph.m_tree,
+            name=name, iid=iid, m=graph.m, n=graph.n, m_tree=graph.m_tree,
             replicas=replicas)
         self.supervisor.ledger.record_publish(name, path, digest, 0)
         for w in offline:
@@ -680,10 +545,10 @@ class RouterTier:
     async def _sync_symbols(self, w: _Worker) -> None:
         """Push the router's symbol table to one worker (idempotent).
 
-        The hello rides the JSON control link — it works even while the
-        binary links are being healed — and lists every name in global
-        id order, so the worker's append-only table ends positionally
-        identical to the router's.
+        The hello rides the control link as an escape frame — it works
+        even while query links are being healed — and lists every name
+        in global id order, so the worker's append-only table ends
+        positionally identical to the router's.
         """
         names = self.wire_symbols.names()
         if w.wire_version >= len(names) or w.control._dead:
@@ -760,74 +625,32 @@ class RouterTier:
             and w.routable(placed.name)
             for wid in placed.replicas)
 
-    async def _forward_query_raw(self, req: Dict, line: bytes) -> bytes:
-        """The hot path: route by instance, relay raw lines.
+    async def _query(self, req: Dict) -> Dict:
+        """One parsed point query, relayed to a replica as a frame.
 
-        Reads are pure, so a mid-request disconnect is safe to retry:
-        the query is re-sent to the next live replica until it answers
-        or ``read_retry_deadline_s`` runs out. The deadline also covers
-        the no-replica window of a replication-1 instance whose only
-        worker is mid-respawn. Saturation still sheds immediately —
-        retrying onto an overloaded fleet would only queue deeper.
+        A query that fits a 16-byte point frame
+        (:func:`~repro.service.wire.fits_point_frame`) is packed and
+        relayed like a binary run, and its answer is rebuilt into the
+        exact JSON envelope. Any other shape rides an escape frame over
+        the same pick, retry and shed loop, so the worker's own
+        dispatch writes the envelope.
         """
         try:
             placed = self._placed(req.get("instance"))
         except ValidationError as exc:
-            return self._frame({"ok": False, "error": str(exc)}, req)
-        deadline = time.perf_counter() + self.config.read_retry_deadline_s
-        while True:
-            w = self._pick_worker(placed)
-            if w is None:
-                if self._any_routable(placed):
-                    # live replicas exist but all are past the shed
-                    # watermark: backpressure, not failure
-                    self.metrics.shed_router += 1
-                    return self._frame(
-                        {"ok": False, "shed": True, "where": "router",
-                         "error": f"all {len(placed.replicas)} replica(s) "
-                                  f"of {placed.name!r} are past the shed "
-                                  f"watermark"},
-                        req)
-                if time.perf_counter() >= deadline:
-                    return self._frame(
-                        {"ok": False,
-                         "error": f"no live replica of {placed.name!r} "
-                                  f"within the retry deadline",
-                         "error_kind": "worker-disconnected"}, req)
-                await asyncio.sleep(0.05)  # a replica is recovering
-                continue
-            if w.chaos_delay_s > 0:
-                await asyncio.sleep(w.chaos_delay_s)
-            link = w.live_link()
-            if link is None:
-                self.supervisor.notify_suspect(w)
-                continue
-            t0 = time.perf_counter()
-            try:
-                raw = await link.request_raw(line)
-            except ServiceError:
-                self.metrics.worker_errors += 1
-                self.supervisor.metrics.read_retries += 1
-                self.supervisor.notify_suspect(w)
-                if time.perf_counter() >= deadline:
-                    return self._frame(
-                        {"ok": False,
-                         "error": f"replicas of {placed.name!r} kept "
-                                  f"disconnecting within the retry "
-                                  f"deadline",
-                         "error_kind": "worker-disconnected"}, req)
-                continue
-            self.metrics.forwarded += 1
-            self._fwd_count += 1
-            if self._fwd_count % 16 == 0:  # stride-sampled router-side rtt
-                self.metrics.latency.extend([time.perf_counter() - t0])
-            return raw
-
-    @staticmethod
-    def _frame(resp: Dict, req: Dict) -> bytes:
-        if "id" in req:
-            resp["id"] = req["id"]
-        return wire.dumps_line(resp)
+            return {"ok": False, "error": str(exc)}
+        op, edge, weight = req["op"], req.get("edge"), req.get("weight")
+        if wire.fits_point_frame(op, placed.iid, edge, weight):
+            raw = await self._relay_segment(
+                placed, wire.encode_point(op, placed.iid, edge, weight), 1)
+        else:
+            raw = await self._relay_segment(
+                placed, wire.encode_escape({**req, "instance": placed.name}),
+                0)
+            if raw[1] == wire.ESCAPE:
+                return wire.decode_escape(raw)
+        return wire.point_response_to_dict(
+            op, edge, wire.decode_point_response(raw), placed.name)
 
     # -- write path ------------------------------------------------------------
 
@@ -1104,13 +927,11 @@ class RouterTier:
     # -- dispatch --------------------------------------------------------------
 
     async def handle_request(self, req: Dict) -> Dict:
-        """Parsed dispatch (in-process clients, tests, benchmarks)."""
+        """Parsed dispatch: JSON lines, escape frames, in-process calls."""
         op = req.get("op")
         if op in QUERY_OPS:
-            raw = await self._forward_query_raw(
-                req, (json.dumps(req) + "\n").encode())
-            return json.loads(raw)
-        if op == "update":
+            resp = await self._query(req)
+        elif op == "update":
             resp = await self.update(req)
         elif op == "update_batch":
             resp = await self.update_batch(req)
@@ -1142,245 +963,7 @@ class RouterTier:
             resp["id"] = req["id"]
         return resp
 
-    # -- TCP front door --------------------------------------------------------
-
-    #: bytes pulled per read on a binary front-door connection
-    READ_SIZE = 1 << 16
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        """Front door: first byte picks JSON-lines or binary relay."""
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        self._conn_writers.add(writer)
-        try:
-            try:
-                first = await reader.readexactly(1)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return
-            if first[0] == wire.MAGIC:
-                self.wire["binary"].connections += 1
-                await self._serve_binary_front(reader, writer, first)
-            else:
-                self.wire["json"].connections += 1
-                await self._serve_jsonl_front(reader, writer, first)
-        finally:
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _serve_jsonl_front(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter,
-                                 first: bytes) -> None:
-        """Pipelined, in-order front door (the service's discipline).
-
-        Query ops take the raw relay path — the original request line is
-        forwarded and the worker's response line is written back without
-        re-serialisation; everything else goes through parsed dispatch.
-        """
-        wm = self.wire["json"]
-        order: asyncio.Queue = asyncio.Queue(maxsize=self.PIPELINE_LIMIT)
-
-        async def write_in_order() -> None:
-            while True:
-                item = await order.get()
-                if item is None:
-                    return
-                fut, is_shutdown = item
-                try:
-                    resp = await fut
-                except Exception as exc:  # noqa: BLE001
-                    resp = {"ok": False,
-                            "error": f"{type(exc).__name__}: {exc}"}
-                if isinstance(resp, (bytes, bytearray)):
-                    payload = resp
-                else:
-                    payload = wire.dumps_line(resp)
-                    wm.json_encodes += 1
-                wm.frames_out += 1
-                wm.bytes_out += len(payload)
-                writer.write(payload)
-                await writer.drain()
-                if is_shutdown:
-                    self._shutdown.set()
-                    return
-
-        loop = asyncio.get_running_loop()
-        wtask = loop.create_task(write_in_order())
-        try:
-            while not wtask.done():
-                try:
-                    line = first + await reader.readline()
-                    first = b""
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                wm.frames_in += 1
-                wm.bytes_in += len(line)
-                try:
-                    req = json.loads(line)
-                    wm.json_decodes += 1
-                    if not isinstance(req, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as exc:
-                    fut: asyncio.Future = loop.create_future()
-                    fut.set_result(
-                        {"ok": False, "error": f"bad request: {exc}"})
-                    await order.put((fut, False))
-                    continue
-                if req.get("op") in QUERY_OPS:
-                    handling = loop.create_task(
-                        self._forward_query_raw(req, line))
-                else:
-                    handling = loop.create_task(self.handle_request(req))
-                await order.put((handling, req.get("op") == "shutdown"))
-                if req.get("op") == "shutdown":
-                    break
-        finally:
-            if not wtask.done():
-                try:
-                    order.put_nowait(None)
-                except asyncio.QueueFull:
-                    wtask.cancel()
-            try:
-                await wtask
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-            while not order.empty():
-                item = order.get_nowait()
-                if item is not None:
-                    item[0].cancel()
-                    try:
-                        await item[0]
-                    except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                        pass
-
-    # -- binary front door: zero-parse relay -----------------------------------
-
-    async def _serve_binary_front(self, reader: asyncio.StreamReader,
-                                  writer: asyncio.StreamWriter,
-                                  first: bytes) -> None:
-        """Relay binary frames with **zero parse** on the read path.
-
-        A run of point frames is split on instance-id boundaries — the
-        iid sits at a fixed header offset, lifted by one vectorised
-        column view, never a JSON parser — and each segment is spliced
-        onto a replica's binary link as raw bytes. Shed, retry and
-        failover decisions use the peeked header columns alone;
-        synthesized status frames answer what cannot be forwarded.
-        Control ops arrive as escape frames and take the parsed
-        dispatch, exactly like the JSON door.
-        """
-        wm = self.wire["binary"]
-        loop = asyncio.get_running_loop()
-        order: asyncio.Queue = asyncio.Queue(maxsize=self.PIPELINE_LIMIT)
-
-        async def write_in_order() -> None:
-            while True:
-                item = await order.get()
-                if item is None:
-                    return
-                fut, is_shutdown = item
-                try:
-                    payload = await fut
-                except Exception as exc:  # noqa: BLE001
-                    wm.json_encodes += 1
-                    payload = wire.encode_escape(
-                        {"ok": False,
-                         "error": f"{type(exc).__name__}: {exc}"})
-                wm.bytes_out += len(payload)
-                writer.write(payload)
-                await writer.drain()
-                if is_shutdown:
-                    self._shutdown.set()
-                    return
-
-        wtask = loop.create_task(write_in_order())
-        buf = bytearray(first)
-        closing = False
-        try:
-            while not wtask.done() and not closing:
-                try:
-                    data = await reader.read(self.READ_SIZE)
-                except (ConnectionError, OSError):
-                    break
-                if not data:
-                    break
-                buf += data
-                while buf and not closing:
-                    run = wire.point_run_length(buf)
-                    if run:
-                        payload = bytes(buf[:run * wire.POINT_LEN])
-                        del buf[:run * wire.POINT_LEN]
-                        wm.frames_in += run
-                        wm.bytes_in += len(payload)
-                        await order.put(
-                            (loop.create_task(
-                                self._relay_point_run(payload, wm)), False))
-                        continue
-                    length = wire.frame_length(buf)
-                    if length is None or len(buf) < length:
-                        break
-                    frame = bytes(buf[:length])
-                    del buf[:length]
-                    wm.frames_in += 1
-                    wm.bytes_in += length
-                    if frame[1] == wire.ESCAPE:
-                        wm.json_decodes += 1
-                        req = wire.decode_escape(frame)
-                        is_shutdown = req.get("op") == "shutdown"
-                        await order.put(
-                            (loop.create_task(
-                                self._answer_escape(req, wm)), is_shutdown))
-                        if is_shutdown:
-                            closing = True
-                    else:
-                        # bulk frames are a worker-door format; the
-                        # router relays point runs and control only
-                        raise wire.WireError(
-                            f"frame type 0x{frame[1]:02x} is not "
-                            f"routable")
-        except wire.WireError as exc:
-            wm.json_encodes += 1
-            fut: asyncio.Future = loop.create_future()
-            fut.set_result(wire.encode_escape(
-                {"ok": False, "error": f"wire protocol error: {exc}",
-                 "error_kind": "protocol"}))
-            try:
-                order.put_nowait((fut, False))
-            except asyncio.QueueFull:  # pragma: no cover - dead peer
-                pass
-        finally:
-            if not wtask.done():
-                try:
-                    order.put_nowait(None)
-                except asyncio.QueueFull:
-                    wtask.cancel()
-            try:
-                await wtask
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass
-            while not order.empty():
-                item = order.get_nowait()
-                if item is not None:
-                    item[0].cancel()
-                    try:
-                        await item[0]
-                    except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                        pass
-
-    async def _answer_escape(self, req: Dict, wm) -> bytes:
-        """One control op off the binary door, parsed dispatch."""
-        resp = await self.handle_request(req)
-        wm.json_encodes += 1
-        wm.frames_out += 1
-        return wire.encode_escape(resp)
+    # -- binary door: zero-parse relay -------------------------------------------
 
     @staticmethod
     def _synth_status(count: int, status: int, value: float = 0.0) -> bytes:
@@ -1391,12 +974,15 @@ class RouterTier:
         resp["value"] = value
         return resp.tobytes()
 
-    async def _relay_point_run(self, payload: bytes, wm) -> bytes:
-        """Answer one decoded run: split on iid boundaries, splice.
+    async def _answer_points(self, payload: bytes) -> bytes:
+        """Relay a run of point frames with **zero parse**.
 
-        Segments relay concurrently (each retries independently); the
-        answer blocks concatenate back in request order, preserving the
-        connection's FIFO contract.
+        The run splits on instance-id boundaries — the iid sits at a
+        fixed header offset, lifted by one vectorised column view,
+        never a JSON parser — and each segment is spliced onto a
+        replica's link as raw bytes. Segments relay concurrently (each
+        retries independently); the answer blocks concatenate back in
+        request order, preserving the connection's FIFO contract.
         """
         iids = np.frombuffer(payload, dtype=wire.POINT_DTYPE)["iid"]
         # plain ints: segment counts feed the JSON-encoded metrics
@@ -1404,61 +990,68 @@ class RouterTier:
         loop = asyncio.get_running_loop()
         parts = [
             loop.create_task(self._relay_segment(
-                int(iids[lo]),
+                self.instances.get(self.wire_symbols.name_of(int(iids[lo]))),
                 payload[lo * wire.POINT_LEN:hi * wire.POINT_LEN],
                 hi - lo))
             for lo, hi in zip(cuts, cuts[1:])
         ]
         out = b"".join([await p for p in parts])
-        wm.frames_out += len(iids)
+        self.wire["binary"].frames_out += len(iids)
         return out
 
-    async def _relay_segment(self, iid: int, seg: bytes,
+    async def _relay_segment(self, placed: Optional[_Placed], seg: bytes,
                              count: int) -> bytes:
-        """One single-instance slice of a run: the zero-parse analogue
-        of :meth:`_forward_query_raw`, synthesizing status frames for
-        everything the JSON path answers with router-built envelopes.
+        """Relay ``count`` point frames of one instance — or, with
+        ``count=0``, one escape-framed query — to a live replica.
+
+        Reads are pure, so a mid-request disconnect is safe to retry:
+        the segment is re-sent to the next live replica until it
+        answers or ``read_retry_deadline_s`` runs out. The deadline also
+        covers the no-replica window of a replication-1 instance whose
+        only worker is mid-respawn. Saturation still sheds immediately —
+        retrying onto an overloaded fleet would only queue deeper.
+        Whatever cannot be forwarded is answered with synthesized status
+        frames, which decode to the router's own envelopes.
         """
-        name = self.wire_symbols.name_of(iid)
-        placed = self.instances.get(name) if name is not None else None
+        frames = count or 1
         if placed is None:
-            return self._synth_status(count, wire.ST_UNKNOWN_INSTANCE)
+            return self._synth_status(frames, wire.ST_UNKNOWN_INSTANCE)
         deadline = time.perf_counter() + self.config.read_retry_deadline_s
         while True:
             w = self._pick_worker(placed)
             if w is None:
                 if self._any_routable(placed):
-                    self.metrics.shed_router += count
+                    self.metrics.shed_router += frames
                     return self._synth_status(
-                        count, wire.ST_SHED_ROUTER,
+                        frames, wire.ST_SHED_ROUTER,
                         value=float(len(placed.replicas)))
                 if time.perf_counter() >= deadline:
                     return self._synth_status(
-                        count, wire.ST_DISCONNECTED)
+                        frames, wire.ST_DISCONNECTED)
                 await asyncio.sleep(0.05)  # a replica is recovering
                 continue
             if w.chaos_delay_s > 0:
                 await asyncio.sleep(w.chaos_delay_s)
-            link = w.live_bin_link()
+            link = w.live_query_link()
             if link is None:
                 self.supervisor.notify_suspect(w)
                 if time.perf_counter() >= deadline:
                     return self._synth_status(
-                        count, wire.ST_DISCONNECTED, value=1.0)
+                        frames, wire.ST_DISCONNECTED, value=1.0)
                 await asyncio.sleep(0.01)  # don't spin while it heals
                 continue
             t0 = time.perf_counter()
             try:
-                raw = await link.request_run(seg, count)
+                raw = await link.relay(seg, count)
             except ServiceError:
                 self.metrics.worker_errors += 1
                 self.supervisor.metrics.read_retries += 1
                 self.supervisor.notify_suspect(w)
                 if time.perf_counter() >= deadline:
                     return self._synth_status(
-                        count, wire.ST_DISCONNECTED, value=1.0)
+                        frames, wire.ST_DISCONNECTED, value=1.0)
                 continue
-            self.metrics.forwarded += count
+            self.metrics.forwarded += frames
             self._fwd_count += 1
             if self._fwd_count % 16 == 0:  # stride-sampled router-side rtt
                 self.metrics.latency.extend([time.perf_counter() - t0])

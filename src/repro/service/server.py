@@ -17,11 +17,12 @@ Two front doors share one dispatch path:
 
 * in-process: :class:`ServiceClient` (tests, benchmarks, embedding) —
   no serialisation, plain dicts;
-* TCP JSON-lines: one request object per line, one response per line,
-  ``id`` echoed when present (``python -m repro serve`` +
-  :mod:`repro.service.loadgen`). Non-finite floats use Python's JSON
-  extension (``Infinity``/``NaN`` literals), matching the stdlib on
-  both ends.
+* TCP (:class:`~repro.service.door.FrontDoor`): JSON lines — one
+  request object per line, one response per line, ``id`` echoed when
+  present (``python -m repro serve`` + :mod:`repro.service.loadgen`);
+  non-finite floats use Python's JSON extension (``Infinity``/``NaN``
+  literals), matching the stdlib on both ends — or binary frames
+  (:mod:`repro.service.wire`) on the same port.
 
 Wire ops: the four point queries (``sensitivity`` / ``survives`` /
 ``replacement_edge`` / ``entry_threshold``), ``update``,
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import struct
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -49,6 +49,7 @@ from ..oracle import SensitivityOracle
 from ..pipeline import ArtifactStore
 from . import wire
 from .batching import QUERY_OPS, MicroBatcher, ServiceOverloaded
+from .door import FrontDoor
 from .metrics import merged_latency
 from .shards import OracleShard, ShardSpec, plan_shards, route
 from .streaming import StreamIngestor
@@ -89,24 +90,17 @@ class _Instance:
         return [s.spec for s in self.shards]
 
 
-class SensitivityService:
+class SensitivityService(FrontDoor):
     """Front-end + shard pool + write path for N graph instances."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self.instances: Dict[str, _Instance] = {}
         self.started_at: Optional[float] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown = asyncio.Event()
         self._started = False
-        self._conn_tasks: set = set()
-        self._conn_writers: set = set()
-        #: per-connection-negotiated protocols share one listener; the
-        #: symbol registry interns instance names to dense u16 ids and
-        #: the per-protocol WireMetrics account both front doors
+        super().__init__()
+        #: binary frames carry instance names as dense u16 ids
         self.wire_symbols = wire.WireSymbols()
-        self.wire = {"json": wire.WireMetrics(),
-                     "binary": wire.WireMetrics()}
 
     # -- instance lifecycle ----------------------------------------------------
 
@@ -162,31 +156,11 @@ class SensitivityService:
             for b in inst.batchers:
                 b.start()
         if serve_tcp:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
-            )
-
-    @property
-    def tcp_address(self) -> Optional[tuple]:
-        """Actual ``(host, port)`` once TCP is up (port 0 resolves here)."""
-        if self._server is None or not self._server.sockets:
-            return None
-        return self._server.sockets[0].getsockname()[:2]
+            await self._open_door(self.config.host, self.config.port)
 
     async def stop(self) -> None:
-        """Drain every shard queue, stop workers, close the listener.
-
-        Open connections are closed server-side first so their handler
-        tasks exit on EOF instead of being cancelled at loop teardown.
-        """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._conn_writers):
-            writer.close()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        """Close the door, then drain every shard queue and stop workers."""
+        await self._close_door()
         for inst in self.instances.values():
             if inst.ingestor is not None:
                 await inst.ingestor.stop()
@@ -194,10 +168,6 @@ class SensitivityService:
                 await b.stop()
         self._started = False
         self._shutdown.set()
-
-    async def serve_forever(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`stop`) arrives."""
-        await self._shutdown.wait()
 
     # -- read path -------------------------------------------------------------
 
@@ -437,7 +407,7 @@ class SensitivityService:
             }
         return out
 
-    # -- TCP JSON-lines front door ---------------------------------------------
+    # -- dispatch --------------------------------------------------------------
 
     async def handle_request(self, req: Dict) -> Dict:
         """Dispatch one already-parsed request object (shared path)."""
@@ -492,266 +462,6 @@ class SensitivityService:
         return {"ok": True,
                 "result": {"wire": wire.WIRE_VERSION, "symbols": symbols}}
 
-    #: In-flight pipelined requests allowed per connection before the
-    #: reader stops pulling new lines (per-shard queues bound the real
-    #: backlog; this only stops one connection from hogging the loop).
-    PIPELINE_LIMIT = 1024
-
-    #: bytes pulled per read on a binary connection (a few thousand
-    #: point frames per syscall when the client pipelines deeply)
-    READ_SIZE = 1 << 16
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        """One connection, protocol negotiated by its very first byte.
-
-        ``0xB7`` (:data:`~repro.service.wire.MAGIC`) can never open a
-        JSON request and ``{`` can never open a binary frame, so the
-        first byte routes the whole connection to the matching handler
-        — old JSON-lines clients keep working untouched on the same
-        port, new clients opt into the binary framing per connection.
-        """
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        self._conn_writers.add(writer)
-        try:
-            try:
-                first = await reader.readexactly(1)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return
-            if first[0] == wire.MAGIC:
-                self.wire["binary"].connections += 1
-                await self._serve_binary(reader, writer, first)
-            else:
-                self.wire["json"].connections += 1
-                await self._serve_jsonl(reader, writer, first)
-        finally:
-            self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _serve_jsonl(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter,
-                           first: bytes) -> None:
-        """One JSON-lines connection, **pipelined with in-order replies**.
-
-        The reader keeps pulling request lines and dispatches each as
-        its own task; a writer coroutine awaits those tasks strictly in
-        arrival order and writes one response line per request. Clients
-        may therefore keep many requests in flight on one connection
-        (the response order IS the request order — no ids needed for
-        correlation), which is what makes a micro-batching shard fill
-        its batches from a single TCP peer, and what the router tier's
-        FIFO-correlated worker links are built on. A serial
-        one-request-at-a-time client observes exactly the old protocol.
-        """
-        wm = self.wire["json"]
-        order: asyncio.Queue = asyncio.Queue(maxsize=self.PIPELINE_LIMIT)
-
-        async def write_in_order() -> None:
-            while True:
-                item = await order.get()
-                if item is None:
-                    return
-                fut, is_shutdown = item
-                try:
-                    resp = await fut
-                except Exception as exc:  # noqa: BLE001 - answer, don't die
-                    resp = {"ok": False,
-                            "error": f"{type(exc).__name__}: {exc}"}
-                t0 = time.perf_counter_ns()
-                payload = wire.dumps_line(resp)
-                wm.record_encode(1, time.perf_counter_ns() - t0)
-                wm.json_encodes += 1
-                wm.frames_out += 1
-                wm.bytes_out += len(payload)
-                writer.write(payload)
-                await writer.drain()
-                if is_shutdown:
-                    self._shutdown.set()
-                    return
-
-        wtask = asyncio.get_running_loop().create_task(write_in_order())
-        try:
-            while not wtask.done():
-                try:
-                    line = first + await reader.readline()
-                    first = b""
-                except (ConnectionError, OSError):
-                    break
-                if not line:
-                    break
-                wm.frames_in += 1
-                wm.bytes_in += len(line)
-                try:
-                    t0 = time.perf_counter_ns()
-                    req = json.loads(line)
-                    wm.record_decode(1, time.perf_counter_ns() - t0)
-                    wm.json_decodes += 1
-                    if not isinstance(req, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as exc:
-                    fut: asyncio.Future = asyncio.get_running_loop() \
-                        .create_future()
-                    fut.set_result(
-                        {"ok": False, "error": f"bad request: {exc}"})
-                    await order.put((fut, False))
-                    continue
-                handling = asyncio.get_running_loop().create_task(
-                    self.handle_request(req))
-                await order.put((handling, req.get("op") == "shutdown"))
-                if req.get("op") == "shutdown":
-                    break
-        finally:
-            if not wtask.done():
-                try:
-                    order.put_nowait(None)
-                except asyncio.QueueFull:
-                    # writer stalled against a full pipeline (dead peer
-                    # mid-drain): nothing left to deliver in order
-                    wtask.cancel()
-            try:
-                await wtask
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass  # peer vanished mid-write: drop queued answers
-            while not order.empty():
-                item = order.get_nowait()
-                if item is not None:
-                    item[0].cancel()
-                    try:
-                        await item[0]
-                    except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                        pass
-
-    async def _serve_binary(self, reader: asyncio.StreamReader,
-                            writer: asyncio.StreamWriter,
-                            first: bytes) -> None:
-        """One binary connection: batched decode, columnar answers.
-
-        Same pipelined in-order discipline as the JSON door, but the
-        unit of work is a *run* of frames per read, not a line:
-        contiguous 16-byte point frames lift into numpy columns with
-        one ``frombuffer`` and answer with one ``tobytes``; bulk and
-        escape frames dispatch individually. A framing violation (bad
-        magic — e.g. a JSON client that negotiated binary — unknown
-        type, oversized length) answers with a structured escape error
-        and closes the connection; it never hangs and never kills the
-        handler task.
-        """
-        wm = self.wire["binary"]
-        loop = asyncio.get_running_loop()
-        order: asyncio.Queue = asyncio.Queue(maxsize=self.PIPELINE_LIMIT)
-
-        async def write_in_order() -> None:
-            while True:
-                item = await order.get()
-                if item is None:
-                    return
-                fut, is_shutdown = item
-                try:
-                    payload = await fut
-                except Exception as exc:  # noqa: BLE001 - answer, don't die
-                    wm.json_encodes += 1
-                    payload = wire.encode_escape(
-                        {"ok": False,
-                         "error": f"{type(exc).__name__}: {exc}"})
-                wm.bytes_out += len(payload)
-                writer.write(payload)
-                await writer.drain()
-                if is_shutdown:
-                    self._shutdown.set()
-                    return
-
-        wtask = loop.create_task(write_in_order())
-        buf = bytearray(first)
-        closing = False
-        try:
-            while not wtask.done() and not closing:
-                try:
-                    data = await reader.read(self.READ_SIZE)
-                except (ConnectionError, OSError):
-                    break
-                if not data:
-                    break
-                buf += data
-                while buf and not closing:
-                    run = wire.point_run_length(buf)
-                    if run:
-                        t0 = time.perf_counter_ns()
-                        arr = np.frombuffer(
-                            bytes(buf[:run * wire.POINT_LEN]),
-                            dtype=wire.POINT_DTYPE)
-                        del buf[:run * wire.POINT_LEN]
-                        wm.record_decode(run, time.perf_counter_ns() - t0)
-                        wm.frames_in += run
-                        wm.bytes_in += run * wire.POINT_LEN
-                        await order.put(
-                            (loop.create_task(
-                                self._answer_point_run(arr, wm)), False))
-                        continue
-                    length = wire.frame_length(buf)
-                    if length is None or len(buf) < length:
-                        break  # incomplete frame: wait for more bytes
-                    frame = bytes(buf[:length])
-                    del buf[:length]
-                    wm.frames_in += 1
-                    wm.bytes_in += length
-                    ftype = frame[1]
-                    if ftype == wire.ESCAPE:
-                        wm.json_decodes += 1
-                        req = wire.decode_escape(frame)
-                        is_shutdown = req.get("op") == "shutdown"
-                        await order.put(
-                            (loop.create_task(
-                                self._answer_escape(req, wm)), is_shutdown))
-                        if is_shutdown:
-                            closing = True
-                    elif wire.POINT_OF_BULK.get(ftype) is not None:
-                        t0 = time.perf_counter_ns()
-                        op, iid, edges, weights = \
-                            wire.decode_bulk_request(frame)
-                        wm.record_decode(1, time.perf_counter_ns() - t0)
-                        await order.put(
-                            (loop.create_task(
-                                self._answer_bulk(op, int(iid), edges,
-                                                  weights, wm)), False))
-                    else:
-                        raise wire.WireError(
-                            f"frame type 0x{ftype:02x} is not a request")
-        except wire.WireError as exc:
-            wm.json_encodes += 1
-            fut: asyncio.Future = loop.create_future()
-            fut.set_result(wire.encode_escape(
-                {"ok": False, "error": f"wire protocol error: {exc}",
-                 "error_kind": "protocol"}))
-            try:
-                order.put_nowait((fut, False))
-            except asyncio.QueueFull:  # pragma: no cover - dead peer
-                pass
-        finally:
-            if not wtask.done():
-                try:
-                    order.put_nowait(None)
-                except asyncio.QueueFull:
-                    wtask.cancel()
-            try:
-                await wtask
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass  # peer vanished mid-write: drop queued answers
-            while not order.empty():
-                item = order.get_nowait()
-                if item is not None:
-                    item[0].cancel()
-                    try:
-                        await item[0]
-                    except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                        pass
-
     def _group_point_columns(self, arr: np.ndarray, statuses: np.ndarray,
                              resp: np.ndarray) -> list:
         """Split one decoded run into per-(instance, op, shard) vector
@@ -801,9 +511,13 @@ class SensitivityService:
                     pending.append((rows, int(shard_i), fut))
         return pending
 
-    async def _answer_point_run(self, arr: np.ndarray, wm) -> bytes:
-        """Answer one decoded run of point frames, columnar end to end."""
+    async def _answer_points(self, payload: bytes) -> bytes:
+        """Answer one run of point frames, columnar end to end."""
+        wm = self.wire["binary"]
+        t0 = time.perf_counter_ns()
+        arr = np.frombuffer(payload, dtype=wire.POINT_DTYPE)
         n = len(arr)
+        wm.record_decode(n, time.perf_counter_ns() - t0)
         resp = np.zeros(n, dtype=wire.RESP_DTYPE)
         resp["magic"] = wire.MAGIC
         statuses = np.zeros(n, dtype=np.uint8)
@@ -821,8 +535,7 @@ class SensitivityService:
         wm.frames_out += n
         return payload
 
-    async def _answer_bulk(self, op: str, iid: int, edges: np.ndarray,
-                           weights, wm) -> bytes:
+    async def _answer_bulk(self, frame: bytes) -> bytes:
         """Answer one columnar bulk query with one columnar response.
 
         The response carries a single generation field; a query that
@@ -830,6 +543,10 @@ class SensitivityService:
         generations would cost 4 bytes/row on a path built to be lean
         — the point path carries them exactly).
         """
+        wm = self.wire["binary"]
+        t0 = time.perf_counter_ns()
+        op, iid, edges, weights = wire.decode_bulk_request(frame)
+        wm.record_decode(1, time.perf_counter_ns() - t0)
         n = len(edges)
         statuses = np.zeros(n, dtype=np.uint8)
         values = np.zeros(n, dtype=np.float64)
@@ -864,13 +581,6 @@ class SensitivityService:
         wm.frames_out += 1
         return payload
 
-    async def _answer_escape(self, req: Dict, wm) -> bytes:
-        """Control ops ride JSON inside the escape frame, both ways."""
-        resp = await self.handle_request(req)
-        wm.json_encodes += 1
-        wm.frames_out += 1
-        return wire.encode_escape(resp)
-
 
 class ServiceClient:
     """One client, two transports: in-process dispatch or TCP.
@@ -888,10 +598,6 @@ class ServiceClient:
     :class:`~repro.errors.ServiceError` with ``kind="disconnected"``,
     so callers distinguish "peer said no" from "peer went away".
     """
-
-    #: one point request/response frame (client side encodes one at a
-    #: time under the call lock; pipelined encoding lives in loadgen)
-    _POINT = struct.Struct("<BBHId")
 
     def __init__(self, service: Optional[SensitivityService] = None,
                  instance: Optional[str] = None):
@@ -1029,13 +735,14 @@ class ServiceClient:
     async def _call_binary(self, op: str, req: Dict) -> Dict:
         """One request over the binary connection.
 
-        Point queries that fit the fixed frame (known instance, u32
-        edge, real weight) go as 16-byte frames and decode back to the
-        exact dict the JSON path would return. Everything else —
-        control ops, and the degenerate queries whose error envelopes
-        only the JSON dispatch can produce (negative edge, missing
-        survives weight, unknown instance) — rides the escape frame
-        and comes back as the server's own JSON.
+        Point queries that fit the fixed frame
+        (:func:`~repro.service.wire.fits_point_frame`) go as 16-byte
+        frames and decode back to the exact dict the JSON path would
+        return, ``id`` echoed here. Everything else — control ops, and
+        the degenerate queries whose error envelopes only the JSON
+        dispatch can produce (negative edge, missing survives weight,
+        unknown instance) — rides the escape frame and comes back as
+        the server's own JSON.
         """
         if op in QUERY_OPS:
             iid = self._iid_of(req.get("instance"))
@@ -1043,15 +750,8 @@ class ServiceClient:
                 await self._hello()  # maybe interned since we connected
                 iid = self._iid_of(req.get("instance"))
             edge, weight = req.get("edge"), req.get("weight")
-            fits = (iid is not None
-                    and isinstance(edge, int)
-                    and 0 <= edge < 2 ** 32
-                    and (weight is not None or op != "survives")
-                    and "id" not in req)
-            if fits:
-                frame = self._POINT.pack(
-                    wire.MAGIC, wire.OP_CODE[op], iid, edge,
-                    float(weight) if weight is not None else 0.0)
+            if wire.fits_point_frame(op, iid, edge, weight):
+                frame = wire.encode_point(op, iid, edge, weight)
                 async with self._lock:
                     try:
                         self._writer.write(frame)
@@ -1065,12 +765,15 @@ class ServiceClient:
                             kind="disconnected")
                 if resp[1] == wire.ESCAPE:
                     return wire.decode_escape(resp)
-                rec = np.frombuffer(resp, dtype=wire.RESP_DTYPE)[0]
                 name = req.get("instance")
                 if name is None:  # the single interned instance
                     name = next(n for n, i in self._symbols.items()
                                 if i == iid)
-                return wire.point_response_to_dict(op, edge, rec, name)
+                out = wire.point_response_to_dict(
+                    op, edge, wire.decode_point_response(resp), name)
+                if "id" in req:
+                    out["id"] = req["id"]
+                return out
         try:
             return await self._roundtrip_escape(req)
         except asyncio.IncompleteReadError:

@@ -291,37 +291,33 @@ class Supervisor:
             self._recovering.pop(w.worker_id, None)
 
     async def _try_heal(self, w: "_Worker") -> bool:
-        """Re-dial dead links to a live process; verify with a ping."""
-        from .router import BinaryWorkerLink, WorkerLink
+        """Re-dial dead links to a live process; verify with a ping.
+
+        Every dial re-negotiates: its hello re-dictates the router's
+        full symbol table, which is idempotent on a live process and
+        restores id order on one whose table was lost.
+        """
+        from .router import BinaryWorkerLink
 
         host = self.router.config.worker_host
+        names = self.router.wire_symbols.names()
         healed = 0
+
+        async def redial(link):
+            nonlocal healed
+            if not link._dead:
+                return link
+            await link.close()
+            fresh = await BinaryWorkerLink.connect(host, w.port, names, 5.0)
+            healed += 1
+            w.wire_version = max(w.wire_version, len(names))
+            return fresh
+
         try:
-            for i, link in enumerate(w.links):
-                if link._dead:
-                    await link.close()
-                    w.links[i] = await WorkerLink.connect(host, w.port, 5.0)
-                    healed += 1
-            # binary relay links re-negotiate on dial: the hello
-            # re-dictates the router's full symbol table, which is
-            # idempotent on a live process and restores id order on one
-            # whose table was lost
-            names = self.router.wire_symbols.names()
-            for i, link in enumerate(w.bin_links):
-                if link._dead:
-                    await link.close()
-                    w.bin_links[i] = await BinaryWorkerLink.connect(
-                        host, w.port, names, 5.0)
-                    healed += 1
-                    w.wire_version = max(w.wire_version, len(names))
-            if w.control._dead:
-                await w.control.close()
-                w.control = await WorkerLink.connect(host, w.port, 5.0)
-                healed += 1
-            if w.telemetry._dead:
-                await w.telemetry.close()
-                w.telemetry = await WorkerLink.connect(host, w.port, 5.0)
-                healed += 1
+            for i, link in enumerate(w.query_links):
+                w.query_links[i] = await redial(link)
+            w.control = await redial(w.control)
+            w.telemetry = await redial(w.telemetry)
             await w.telemetry.request({"op": "ping"}, timeout_s=5.0)
         except (ServiceError, asyncio.TimeoutError):
             return False
@@ -338,6 +334,7 @@ class Supervisor:
             await loop.run_in_executor(None, w.proc.join, 5.0)
         for link in w.all_links():
             await link.close()
+        w.boot.close()
 
     async def _catch_up(self, w: "_Worker") -> None:
         """Gate re-entry behind per-instance ledger catch-up.

@@ -33,6 +33,8 @@ Design rules, in order of importance:
 5. **Control ops stay JSON** inside a length-prefixed *escape frame*
    (type ``0x7E``): ``metrics``, ``update``, ``adopt``, ``chaos``, …
    keep their debuggable representation — only the hot path changes.
+   Between the router and its workers these frames are the only
+   format; JSON lines exist only at client-facing doors.
 
 Frame grammar (all little-endian; full table in DESIGN.md §6.5)::
 
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,8 +82,9 @@ __all__ = [
     "POINT_DTYPE", "RESP_DTYPE",
     "dumps", "dumps_line", "join_lines",
     "WireError", "WireSymbols", "WireMetrics",
-    "frame_length", "point_run_length",
-    "encode_point_requests", "encode_escape", "decode_escape",
+    "frame_length", "point_run_length", "fits_point_frame",
+    "encode_point", "encode_point_requests", "encode_escape",
+    "decode_escape", "decode_point_response",
     "encode_bulk_request", "decode_bulk_request",
     "encode_bulk_response", "decode_bulk_response",
     "point_response_to_dict", "response_to_status",
@@ -172,8 +176,14 @@ assert POINT_DTYPE.itemsize == POINT_LEN
 assert RESP_DTYPE.itemsize == POINT_LEN
 
 _HEADER = struct.Struct("<BBHI")       #: magic, type, u16, u32
+_POINT = struct.Struct("<BBHId")       #: one point request/response
 
 # -- compact JSON (the separator-optimised fast path) -------------------------
+
+
+#: One shared compact encoder: ``json.dumps`` with non-default
+#: separators builds a fresh ``JSONEncoder`` on every call.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
 
 
 def dumps(obj) -> str:
@@ -183,19 +193,17 @@ def dumps(obj) -> str:
     line — and every hot path (server, router, loadgen, escape frames)
     encodes through here so the JSON baseline stays honest in E19.
     """
-    return json.dumps(obj, separators=(",", ":"))
+    return _COMPACT.encode(obj)
 
 
 def dumps_line(obj) -> bytes:
     """One compact JSON-lines record, newline included, encoded."""
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode()
+    return (_COMPACT.encode(obj) + "\n").encode()
 
 
 def join_lines(objs) -> bytes:
     """Encode many records with a single join (one write per chunk)."""
-    return "".join(
-        json.dumps(o, separators=(",", ":")) + "\n" for o in objs
-    ).encode()
+    return "".join(_COMPACT.encode(o) + "\n" for o in objs).encode()
 
 
 class WireError(Exception):
@@ -259,8 +267,8 @@ def point_run_length(buf, *, lo: int = _POINT_MIN,
     not a point frame (callers then fall back to :func:`frame_length`).
     """
     k = len(buf) // POINT_LEN
-    if k == 0:
-        return 0
+    if k == 0 or not lo <= buf[1] <= hi:
+        return 0  # e.g. an escape frame: control links carry only those
     view = np.frombuffer(buf, dtype=POINT_DTYPE, count=k)
     bad = np.flatnonzero((view["magic"] != MAGIC)
                          | (view["type"] < lo) | (view["type"] > hi))
@@ -268,6 +276,39 @@ def point_run_length(buf, *, lo: int = _POINT_MIN,
 
 
 # -- codecs -------------------------------------------------------------------
+
+
+def fits_point_frame(op: str, iid: Optional[int], edge, weight) -> bool:
+    """Can this parsed query ride one 16-byte point frame?
+
+    True when the instance has an id, the edge is an exact ``int``
+    (not ``bool``) in ``[0, 2**32)`` and, for ``survives``, the weight
+    is a real ``int``/``float`` that converts to a double. Such a query
+    decodes back (:func:`point_response_to_dict`) to the dict the JSON
+    dispatch gives, except that a kernel exception reads ``internal
+    error``; any other shape must ride an escape frame, so the
+    responder's own dispatch writes its error envelope.
+    """
+    return (iid is not None
+            and type(edge) is int and 0 <= edge < 1 << 32
+            and (op != "survives"
+                 or type(weight) is float
+                 or (type(weight) is int
+                     and abs(weight) <= sys.float_info.max)))
+
+
+def encode_point(op: str, iid: int, edge: int, weight=None) -> bytes:
+    """One point request frame for a query :func:`fits_point_frame`."""
+    return _POINT.pack(MAGIC, OP_CODE[op], iid, edge,
+                       float(weight) if op == "survives" else 0.0)
+
+
+def decode_point_response(frame: bytes) -> Dict:
+    """One point response frame as a record :func:`point_response_to_dict`
+    reads (a plain dict: cheaper than a numpy view for one frame)."""
+    _m, ftype, shard, generation, value = _POINT.unpack(frame)
+    return {"type": ftype, "shard": shard, "generation": generation,
+            "value": value}
 
 
 def encode_point_requests(ops: np.ndarray, iids: np.ndarray,

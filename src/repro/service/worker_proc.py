@@ -30,7 +30,8 @@ The module-level :func:`worker_entry` is the ``multiprocessing`` target
 (explicit forkserver/spawn context — the same discipline as
 :mod:`repro.mpc.parallel`): it boots the service, binds TCP on an
 ephemeral port, reports ``("ready", worker_id, port)`` through its
-pipe, and serves until a ``shutdown`` op arrives.
+pipe, and serves until a ``shutdown`` op arrives or the pipe reaches
+EOF (the router process is gone).
 """
 
 from __future__ import annotations
@@ -265,10 +266,21 @@ async def _worker_async(conn, spec: WorkerSpec) -> None:
     await service.start(serve_tcp=True)
     host, port = service.tcp_address
     conn.send(("ready", spec.worker_id, port))
-    conn.close()
+    # the boot pipe stays open for the worker's life and the router
+    # never writes to it again: it turns readable only at EOF, when the
+    # router process is gone, however it ended
+    loop = asyncio.get_running_loop()
+
+    def orphaned() -> None:
+        loop.remove_reader(conn.fileno())
+        service._shutdown.set()
+
+    loop.add_reader(conn.fileno(), orphaned)
     try:
         await service.serve_forever()
     finally:
+        loop.remove_reader(conn.fileno())
+        conn.close()
         await service.stop()
 
 

@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
+import faulthandler
+
 import numpy as np
 import pytest
 
 from repro.mpc import DistributedRuntime, LocalRuntime, MPCConfig
+
+#: Per-test hang budget. The slowest test takes ~11 s on 2 vCPUs.
+HANG_TIMEOUT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _hang_watchdog():
+    """A test may fail but never hang: past the budget, dump every
+    thread's stack and end the run with exit status 1.
+
+    The process has one ``faulthandler`` timer, so pytest's own
+    ``faulthandler_timeout`` must stay unset.
+    """
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

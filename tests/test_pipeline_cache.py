@@ -10,8 +10,7 @@ The load-bearing claims tested here:
 * a persisted store round-trips through the npz protocol and can be
   rehydrated by a fresh process;
 * the early-exit verification result carries the full field shape plus
-  ``failed_stage``, and ``mst_sensitivity`` keys off that status;
-* the deprecated ``_internals`` kwarg still works, with a warning.
+  ``failed_stage``, and ``mst_sensitivity`` keys off that status.
 """
 
 import numpy as np
@@ -261,16 +260,6 @@ class TestPlanAndStatus:
         assert back.failed_stage == "validate"
         ok = verify_mst(_graph())
         assert ok.failed_stage is None
-
-    def test_internals_shim_warns_and_fills(self):
-        g = _graph()
-        internals = {}
-        with pytest.warns(DeprecationWarning, match="_internals"):
-            verify_mst(g, _internals=internals)
-        for key in ("rt", "parent", "wpar", "low", "high", "d_hat",
-                    "hierarchy", "halves", "labeled", "pm_half", "pathmax",
-                    "nontree_index", "root"):
-            assert key in internals
 
 
 class TestConsumers:

@@ -350,6 +350,63 @@ class TestRouterShutdown:
         run(scenario())
 
 
+class _SetPingService(SensitivityService):
+    async def handle_request(self, req):
+        if req.get("op") == "ping":
+            return {"ok": True, "result": {1, 2}}  # not JSON-encodable
+        return await super().handle_request(req)
+
+
+class _SetPingRouter(RouterTier):
+    async def handle_request(self, req):
+        if req.get("op") == "ping":
+            return {"ok": True, "result": {1, 2}}  # not JSON-encodable
+        return await super().handle_request(req)
+
+
+class TestUnencodableAnswer:
+    """An answer the door cannot encode becomes a structured error on
+    both doors of the service and of the router; the connection keeps
+    answering instead of wedging with the reader parked."""
+
+    @staticmethod
+    async def _check_both_doors(host, port):
+        for mode in ("json", "binary"):
+            client = await ServiceClient.connect(host, port, wire_mode=mode)
+            try:
+                r = await asyncio.wait_for(client.call("ping"), 5)
+                assert not r["ok"], (mode, r)
+                assert r["error"].startswith("TypeError:"), (mode, r)
+                again = await asyncio.wait_for(client.call("instances"), 5)
+                assert again["ok"], (mode, again)
+            finally:
+                await client.close()
+
+    def test_service_doors(self):
+        async def scenario():
+            svc = _SetPingService(ServiceConfig(shards=2, port=0))
+            svc.add_instance("default", make_graph(n=40))
+            await svc.start(serve_tcp=True)
+            try:
+                await self._check_both_doors(*svc.tcp_address)
+            finally:
+                await svc.stop()
+
+        run(scenario())
+
+    def test_router_doors(self):
+        async def scenario():
+            rt = _SetPingRouter(RouterConfig(workers=1, replication=1,
+                                             port=0))
+            await rt.start(serve_tcp=True)
+            try:
+                await self._check_both_doors(*rt.tcp_address)
+            finally:
+                await rt.stop()
+
+        run(scenario())
+
+
 class TestServiceClientDisconnect:
     def test_midcall_disconnect_raises_structured_error(self):
         async def scenario():

@@ -16,13 +16,21 @@ The load-bearing claims of DESIGN.md §6.4, pinned at both layers:
   whose query links are all dead leaves the read rotation immediately
   (the stale-depth routing bug); a replica whose control link was
   severed is marked stale before a patch lands anywhere and resyncs
-  from the ledger via link healing, no respawn.
+  from the ledger via link healing, no respawn;
+* **lifetime** — workers die with their router, even when the router
+  process ends abnormally (``os._exit``).
 """
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
+
+import repro
 
 from repro.errors import ValidationError
 from repro.graph.generators import known_mst_instance
@@ -286,7 +294,7 @@ class TestReadRotation:
                 # last depth report on a worker whose links just died
                 dying.depth = {"default": {"queued": 0, "bound": 4096,
                                            "fraction": 0.0}}
-                for link in dying.links:
+                for link in dying.query_links:
                     await link.close()
                 for _ in range(2 * len(placed.replicas)):
                     assert rt._pick_worker(placed) is alive
@@ -349,3 +357,63 @@ class TestReplicaResync:
                 await rt.stop()
 
         run(scenario())
+
+
+#: Boots a one-worker tier, prints the worker's pid, then dies without
+#: any cleanup. The ``__main__`` guard matters: forkserver and spawn
+#: re-import the main module in the worker.
+ORPHAN_SCRIPT = """
+import asyncio, os, sys
+from repro.service import RouterConfig, RouterTier
+
+async def main():
+    rt = RouterTier(RouterConfig(workers=1, replication=1,
+                                 mmap_dir=sys.argv[1]))
+    await rt.start()
+    print(rt.workers[0].proc.pid, flush=True)
+    os._exit(1)
+
+if __name__ == "__main__":
+    asyncio.run(main())
+"""
+
+
+def _alive(pid: int) -> bool:
+    """A live, non-zombie process (orphans may never be reaped here)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+class TestWorkerLifetime:
+    def test_workers_exit_when_the_router_process_dies(self, tmp_path):
+        script = tmp_path / "orphan.py"
+        script.write_text(ORPHAN_SCRIPT)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        # the worker inherits the script's stdout: read the pid line,
+        # never wait for EOF (a surviving worker would hold it open)
+        with open(tmp_path / "stderr.log", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, str(script), str(tmp_path / "spool")],
+                stdout=subprocess.PIPE, stderr=err, env=env)
+        pid = None
+        try:
+            line = proc.stdout.readline()
+            assert proc.wait(timeout=60) == 1
+            pid = int(line)
+            deadline = time.perf_counter() + 10.0
+            while _alive(pid) and time.perf_counter() < deadline:
+                time.sleep(0.05)
+            assert not _alive(pid), "worker outlived its router"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stdout.close()
+            if pid is not None and _alive(pid):
+                os.kill(pid, signal.SIGKILL)

@@ -637,9 +637,75 @@ class TestRouterZeroParseRelay:
                 # the swap is observed identically over both protocols
                 await compare(expect_generation=1)
 
+                # a JSON storm through the door rides the same frames:
+                # no JSON-lines connection runs inside the fleet
+                jplan = make_plan({"g0": g.m}, 300, seed=6)
+                jstats = await run_tcp(host, port, jplan, clients=2,
+                                       pipeline=32, wire_mode="json")
+                assert jstats.errors == 0
+                assert jstats.answered + jstats.shed == 300
+                met = await cj.call("metrics")
+                for wid, wm in met["result"]["workers"].items():
+                    assert wm["wire"]["json"]["connections"] == 0, (
+                        wid, wm["wire"])
+
                 await cj.close()
                 await cb.close()
             finally:
                 await rt.stop()
+
+        run(scenario())
+
+
+class TestRouterJsonDoorDifferential:
+    """The router's JSON door packs queries into frames; every odd
+    shape must still answer with the single-process service's dict."""
+
+    SHAPES = [
+        {"op": "sensitivity", "edge": -3, "instance": "g0"},
+        {"op": "sensitivity", "edge": "M", "instance": "g0"},
+        {"op": "entry_threshold", "edge": "M+5", "instance": "g0"},
+        {"op": "sensitivity", "edge": 2 ** 32, "instance": "g0"},
+        {"op": "sensitivity", "edge": 2 ** 32 + 7, "instance": "g0"},
+        {"op": "sensitivity", "edge": 3.0, "instance": "g0"},
+        {"op": "replacement_edge", "edge": True, "instance": "g0"},
+        {"op": "survives", "edge": 2, "instance": "g0"},
+        {"op": "survives", "edge": 2, "weight": "heavy", "instance": "g0"},
+        {"op": "survives", "edge": 2, "weight": None, "instance": "g0"},
+        {"op": "survives", "edge": 2, "weight": 3, "instance": "g0"},
+        {"op": "survives", "edge": 2, "weight": 1.25, "instance": "g0"},
+        {"op": "sensitivity", "edge": 1, "instance": "nope"},
+        {"op": "sensitivity", "edge": 1, "instance": "g0", "id": "tag"},
+        {"op": "entry_threshold", "edge": 4, "instance": "g0", "id": 7},
+        {"op": "sensitivity", "edge": 1},
+        {"op": "replacement_edge", "edge": 0},
+    ]
+
+    def test_odd_shapes_match_the_single_process_service(self):
+        async def scenario():
+            g = make_graph(n=120, seed=7)
+            ref = SensitivityService(ServiceConfig(shards=2))
+            ref.add_instance("g0", g)
+            await ref.start()
+            rt = RouterTier(RouterConfig(workers=2, replication=2,
+                                         shards=2, port=0))
+            await rt.start(serve_tcp=True)
+            try:
+                await rt.add_instance("g0", g)
+                host, port = rt.tcp_address
+                cj = await ServiceClient.connect(host, port)
+                marks = {"M": g.m, "M+5": g.m + 5}
+                for shape in self.SHAPES:
+                    req = dict(shape)
+                    req["edge"] = marks.get(req["edge"], req["edge"])
+                    want = await ref.handle_request(dict(req))
+                    kw = {k: v for k, v in req.items() if k != "op"}
+                    got = await asyncio.wait_for(
+                        cj.call(req["op"], **kw), 10.0)
+                    assert got == want, (req, got, want)
+                await cj.close()
+            finally:
+                await rt.stop()
+                await ref.stop()
 
         run(scenario())
