@@ -3,7 +3,11 @@
 from .mpc_boruvka import BoruvkaResult, mpc_boruvka, verify_by_recompute_mpc
 from .naive_mpc_verify import NaiveVerifyResult, naive_verify_mst
 from .seq_mst import kruskal_mst, mst_weight
-from .seq_sensitivity import SequentialSensitivity, sequential_sensitivity
+from .seq_sensitivity import (
+    SequentialSensitivity,
+    covering_ascent,
+    sequential_sensitivity,
+)
 from .seq_verify import nontree_pathmax, verify_by_pathmax, verify_by_recompute
 
 __all__ = [
@@ -15,6 +19,7 @@ __all__ = [
     "kruskal_mst",
     "mst_weight",
     "SequentialSensitivity",
+    "covering_ascent",
     "sequential_sensitivity",
     "nontree_pathmax",
     "verify_by_pathmax",

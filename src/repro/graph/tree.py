@@ -297,6 +297,39 @@ class RootedTree:
             v[sel] = up[k][v[sel]]
         return out
 
+    def min_cover_to_ancestor(self, v: np.ndarray, anc: np.ndarray,
+                              key: np.ndarray) -> np.ndarray:
+        """Per vertex ``x``: min ``key[i]`` over the paths ``v[i] -> anc[i]``
+        that contain the edge ``(x, parent(x))``.
+
+        The write-side dual of :meth:`path_max_to_ancestor`. Each path
+        splits by the bits of its length into at most ``log D_T`` blocks
+        of ``2**k`` parent edges; a block's key is scattered onto its
+        lowest vertex at level ``k``. The minima are then pushed down
+        level by level, since a level-``k`` block at ``x`` is the two
+        level-``k-1`` blocks at ``x`` and ``up[k-1][x]``. Uncovered
+        edges (and the root) read ``iinfo(int64).max``. Callers must
+        ensure the ancestor relation holds.
+        """
+        up, _ = self._lifting()
+        depth = self.depths()
+        none = np.iinfo(np.int64).max
+        v = np.asarray(v, dtype=np.int64)
+        key = np.asarray(key, dtype=np.int64)
+        diff = depth[v] - depth[np.asarray(anc, dtype=np.int64)]
+        best = np.full(up.shape, none, dtype=np.int64)
+        for k in range(up.shape[0]):
+            # full-width np.where beats boolean-mask gathers here: a
+            # path's bits are ~random, so masks defeat branch prediction
+            bit = ((diff >> k) & 1) == 1
+            np.minimum.at(best[k], v, np.where(bit, key, none))
+            v = np.where(bit, up[k][v], v)
+        for k in range(up.shape[0] - 1, 0, -1):
+            hit = np.flatnonzero(best[k] != none)
+            np.minimum(best[k - 1], best[k], out=best[k - 1])
+            np.minimum.at(best[k - 1], up[k - 1][hit], best[k][hit])
+        return best[0]
+
     def path_max(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Max edge weight on the tree path between ``a[i]`` and ``b[i]``."""
         l = self.lca(a, b)

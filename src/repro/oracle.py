@@ -20,8 +20,11 @@ plus the input graph; thresholds are taken verbatim from the pipeline
 (``mc``/``pathmax`` are exact copies of input weights, so tie queries
 compare exactly). Replacement-edge identities, which the round-efficient
 pipeline deliberately does not materialise, are recovered at build time
-by one near-linear Tarjan-style covering ascent and cross-checked
-against the pipeline's ``mc`` values.
+by one vectorised binary-lifting min-cover pass over ``O(log D_T)``
+levels (:meth:`~repro.graph.tree.RootedTree.min_cover_to_ancestor`)
+and cross-checked against the pipeline's ``mc`` values. It matches the
+sequential Tarjan-style ascent :func:`repro.baselines.covering_ascent`
+bit for bit, ties included.
 
 Oracles pickle/save to a single ``.npz`` and rehydrate anywhere — batch
 workers persist them so a service process can answer millions of
@@ -42,44 +45,33 @@ from .serialize import load_npz, save_npz
 __all__ = ["SensitivityOracle", "build_oracle"]
 
 
-def _covering_ascent(tree: RootedTree, nu, nv, nw, nt_index):
-    """Min-cover weight and covering-edge id per vertex (Tarjan ascent).
+def _covering_ascent(tree: RootedTree, nu, nv, nw, ids):
+    """Min-cover weight and covering-edge id per vertex (binary lifting).
 
-    Processes non-tree edges by ascending weight and walks both
-    endpoints to the LCA through a "next uncovered ancestor" DSU; the
-    first cover to reach a tree edge is its cheapest one. Returns
-    ``(mc, cover)`` where ``cover[v]`` is the *input* edge index covering
-    the edge ``(v, parent(v))`` at weight ``mc[v]`` (or -1 / inf).
+    The DSU ascent (:func:`repro.baselines.covering_ascent`) stamps each
+    tree edge with the first non-tree edge, in stable ascending-weight
+    order, whose cycle contains it. That is the covering edge of lowest
+    rank, ties included, so one
+    :meth:`~repro.graph.tree.RootedTree.min_cover_to_ancestor` pass over
+    the ranks gives the same ``(mc, cover)`` bit for bit: ``cover[v]``
+    is ``ids[i]`` of the edge covering ``(v, parent(v))`` at weight
+    ``mc[v]`` (-1 / inf where nothing covers it).
     """
-    n = tree.n
-    depth = tree.depths()
-    parent = tree.parent
-    lca = tree.lca(nu, nv) if len(nu) else np.empty(0, dtype=np.int64)
-
-    mc = np.full(n, np.inf, dtype=np.float64)
-    cover = np.full(n, -1, dtype=np.int64)
-    jump = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        r = x
-        while jump[r] != r:
-            r = jump[r]
-        while jump[x] != r:
-            jump[x], x = r, jump[x]
-        return r
-
+    mc = np.full(tree.n, np.inf, dtype=np.float64)
+    cover = np.full(tree.n, -1, dtype=np.int64)
+    if not len(nw):
+        return mc, cover
     order = np.argsort(nw, kind="stable")
-    for i in order:
-        w = float(nw[i])
-        eid = int(nt_index[i])
-        top = int(lca[i])
-        for end in (int(nu[i]), int(nv[i])):
-            x = find(end)
-            while depth[x] > depth[top]:
-                mc[x] = w            # first (smallest) cover wins
-                cover[x] = eid
-                jump[x] = find(int(parent[x]))
-                x = find(x)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    top = tree.lca(nu, nv)
+    best = tree.min_cover_to_ancestor(np.concatenate([nu, nv]),
+                                      np.concatenate([top, top]),
+                                      np.concatenate([rank, rank]))
+    hit = np.flatnonzero(best < len(order))
+    first = order[best[hit]]
+    mc[hit] = nw[first]
+    cover[hit] = np.asarray(ids, dtype=np.int64)[first]
     return mc, cover
 
 
@@ -122,8 +114,9 @@ class SensitivityOracle:
         ``result`` may come straight from
         :func:`~repro.core.sensitivity.mst_sensitivity` or be rehydrated
         with :meth:`~repro.core.results.SensitivityResult.load`. With
-        ``validate=True`` the build-time covering ascent is cross-checked
-        against the pipeline's ``mc`` array (a free differential test).
+        ``validate=True`` the build-time min-cover kernel is
+        cross-checked against the pipeline's ``mc`` array (a free
+        differential test: two independent algorithms, one answer).
         """
         if result.parent is not None and len(result.parent) == graph.n:
             parent = np.asarray(result.parent, dtype=np.int64)
@@ -149,7 +142,7 @@ class SensitivityOracle:
         mc, cover = _covering_ascent(tree, nu, nv, nw, nontree_index)
         if validate and not np.array_equal(mc, result.mc):
             raise ValidationError(
-                "covering ascent disagrees with the pipeline's mc array; "
+                "min-cover kernel disagrees with the pipeline's mc array; "
                 "result does not belong to this graph"
             )
 

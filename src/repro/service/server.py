@@ -158,16 +158,22 @@ class SensitivityService(FrontDoor):
         if serve_tcp:
             await self._open_door(self.config.host, self.config.port)
 
-    async def stop(self) -> None:
-        """Close the door, then drain every shard queue and stop workers."""
+    async def stop(self) -> Dict:
+        """Close the door, then drain every shard queue and stop workers.
+
+        Returns ``{"missed_deadline": [...]}``: ingest loops still
+        running ``STOP_DEADLINE_S`` after their cancel.
+        """
         await self._close_door()
+        missed: List[str] = []
         for inst in self.instances.values():
             if inst.ingestor is not None:
-                await inst.ingestor.stop()
+                missed += await inst.ingestor.stop()
             for b in inst.batchers:
                 await b.stop()
         self._started = False
         self._shutdown.set()
+        return {"missed_deadline": missed}
 
     # -- read path -------------------------------------------------------------
 

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import ServiceError
 from .metrics import StreamMetrics
+from .supervision import STOP_DEADLINE_S
 
 __all__ = ["StreamIngestor"]
 
@@ -59,6 +60,9 @@ class StreamIngestor:
         self.metrics = StreamMetrics()
         self._queue: asyncio.Queue = asyncio.Queue()
         self._task: Optional[asyncio.Task] = None
+        #: the group ``_apply`` is rebuilding (answered by ``stop`` if
+        #: the rebuild is cancelled)
+        self._inflight: List = []
         self._closing = False
 
     # -- client side -----------------------------------------------------------
@@ -91,18 +95,39 @@ class StreamIngestor:
         if self._task is None and not self._closing:
             self._task = asyncio.get_running_loop().create_task(self._drain())
 
-    async def stop(self) -> None:
-        """Drain pending batches, then stop the loop."""
+    async def stop(self) -> List[str]:
+        """Drain pending batches for up to :data:`STOP_DEADLINE_S`, then
+        cancel the loop.
+
+        Every request the drain did not answer — still queued, or in the
+        group being applied when the cancel landed — resolves with
+        ``{"ok": false, "error": "service shut down"}``. A cancelled
+        rebuild's worker thread runs to completion unobserved.
+        Returns the loop's name if it was still running
+        :data:`STOP_DEADLINE_S` after its cancel.
+        """
         self._closing = True
-        if self._task is not None:
+        missed: List[str] = []
+        task, self._task = self._task, None
+        if task is not None:
             self._queue.put_nowait(None)
-            await self._task
-            self._task = None
-        while not self._queue.empty():  # racers that lost to _closing
+            _, late = await asyncio.wait({task}, timeout=STOP_DEADLINE_S)
+            if late:
+                task.cancel()
+                _, late = await asyncio.wait({task},
+                                             timeout=STOP_DEADLINE_S)
+            if late:
+                missed.append(f"ingestor:{self.instance}")
+        # the in-flight group, then racers that lost to _closing
+        pending = [fut for _ops, fut, _t in self._inflight]
+        while not self._queue.empty():
             item = self._queue.get_nowait()
-            if item is not None and not item[1].done():
-                item[1].set_result(
-                    {"ok": False, "error": "service shut down"})
+            if item is not None:
+                pending.append(item[1])
+        for fut in pending:
+            if not fut.done():
+                fut.set_result({"ok": False, "error": "service shut down"})
+        return missed
 
     async def _drain(self) -> None:
         while True:
@@ -123,6 +148,7 @@ class StreamIngestor:
     async def _apply(self, group: List) -> None:
         ops = [op for req_ops, _fut, _t0 in group for op in req_ops]
         t0 = min(t for _ops, _fut, t in group)
+        self._inflight = group
         try:
             resp = await self.service._apply_structural(self.instance, ops)
         except ServiceError as exc:

@@ -320,8 +320,9 @@ class InstanceUpdater:
         whatever the narrowed fingerprint scopes still cache. Either
         way the resulting oracle is rebuilt through
         :meth:`SensitivityOracle.from_result`, whose validation
-        cross-checks it against an independent covering ascent — a
-        splice bug fails loudly instead of shipping.
+        cross-checks the pipeline's ``mc`` against the independent
+        binary-lifting min-cover kernel — a splice bug fails loudly
+        instead of shipping.
         """
         t0 = time.perf_counter()
         received = list(ops)

@@ -20,6 +20,8 @@ The load-bearing claims:
 
 import asyncio
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from repro.service import (
     StreamIngestor,
     plan_shards,
 )
+from repro.service.supervision import STOP_DEADLINE_S
 
 
 def run(coro):
@@ -413,6 +416,37 @@ class TestServiceStreaming:
                     float(up.oracle.sens[new_e])
             finally:
                 await svc.stop()
+        run(scenario())
+
+    def test_stop_during_rebuild_is_bounded_and_answers(self, monkeypatch):
+        # a rebuild stuck for 5 s must not hold up stop(): the ingestor
+        # waits STOP_DEADLINE_S, cancels its loop, and answers both the
+        # in-flight request and the one queued behind it
+        gate = threading.Event()
+        apply_batch = InstanceUpdater.apply_batch
+
+        def slow_apply(self, ops):
+            gate.wait(5.0)
+            return apply_batch(self, ops)
+
+        monkeypatch.setattr(InstanceUpdater, "apply_batch", slow_apply)
+
+        async def scenario():
+            g = make_graph(n=120)
+            svc = await started_service(g)
+            first = asyncio.ensure_future(svc.update_batch(heavy_ops(g, 1)))
+            await asyncio.sleep(0.05)  # first is rebuilding
+            queued = asyncio.ensure_future(svc.update_batch(heavy_ops(g, 2)))
+            await asyncio.sleep(0.05)
+            t0 = time.perf_counter()
+            report = await svc.stop()
+            took = time.perf_counter() - t0
+            gate.set()  # let the abandoned worker thread finish
+            assert took <= STOP_DEADLINE_S + 1.0, took
+            assert report == {"missed_deadline": []}
+            for fut in (first, queued):
+                resp = await asyncio.wait_for(fut, 1.0)
+                assert resp == {"ok": False, "error": "service shut down"}
         run(scenario())
 
     def test_rejected_batch_is_structured_on_the_wire(self):
