@@ -99,8 +99,7 @@ async def _probe(host, port, edges_by_instance):
 async def _baseline(graphs, plan):
     """Single-process S19 service over TCP — the E13 configuration."""
     svc = SensitivityService(ServiceConfig(
-        shards=SHARDS, max_batch=512, batch_window_s=0.001,
-        queue_depth=1 << 15, port=0))
+        shards=SHARDS, max_batch=512, queue_depth=1 << 15, port=0))
     for shape, g in graphs.items():
         svc.add_instance(shape, g)
     await svc.start(serve_tcp=True)
@@ -118,7 +117,7 @@ async def _scaleout(graphs, plan, expected0, upd_edge, expected1):
     """Router + WORKERS processes: identity, storm + live swap, counters."""
     rt = RouterTier(RouterConfig(
         workers=WORKERS, replication=2, shards=SHARDS, max_batch=512,
-        batch_window_s=0.001, queue_depth=1 << 15, port=0))
+        queue_depth=1 << 15, port=0))
     await rt.start(serve_tcp=True)
     swap_report = {}
     try:

@@ -92,7 +92,7 @@ async def _sweep_async():
 
     rt = RouterTier(RouterConfig(
         workers=WORKERS, replication=REPLICATION, shards=SHARDS,
-        max_batch=512, batch_window_s=0.001, queue_depth=1 << 15,
+        max_batch=512, queue_depth=1 << 15,
         port=0, heartbeat_s=0.05, restart_backoff_s=0.01,
         read_retry_deadline_s=30.0))
     await rt.start(serve_tcp=True)

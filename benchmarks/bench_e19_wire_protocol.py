@@ -108,8 +108,7 @@ async def _storm(host, port, plan, wire_mode):
 async def _direct(g, plan):
     """Single-process service: identity first, then both storms."""
     svc = SensitivityService(ServiceConfig(
-        shards=SHARDS, max_batch=512, batch_window_s=0.001,
-        queue_depth=1 << 15, port=0))
+        shards=SHARDS, max_batch=512, queue_depth=1 << 15, port=0))
     svc.add_instance("random", g)
     await svc.start(serve_tcp=True)
     try:
@@ -128,7 +127,7 @@ async def _router(g, plan):
     """Router front door: the relay never parses a binary frame."""
     rt = RouterTier(RouterConfig(
         workers=WORKERS, replication=2, shards=SHARDS, max_batch=512,
-        batch_window_s=0.001, queue_depth=1 << 15, port=0))
+        queue_depth=1 << 15, port=0))
     await rt.start(serve_tcp=True)
     try:
         await rt.add_instance("random", g)

@@ -41,8 +41,7 @@ SHARDS = 3
 
 async def main() -> None:
     service = SensitivityService(ServiceConfig(
-        shards=SHARDS, max_batch=512, batch_window_s=0.001,
-        queue_depth=1 << 15,
+        shards=SHARDS, max_batch=512, queue_depth=1 << 15,
     ))
     instances = {}
     for shape, seed in (("random", 41), ("grid", 42)):

@@ -180,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shards", type=int, default=2,
                     help="edge-range shards per instance")
     sp.add_argument("--max-batch", type=int, default=512)
-    sp.add_argument("--window-ms", type=float, default=2.0,
-                    help="micro-batch latency window")
     sp.add_argument("--queue-depth", type=int, default=4096,
                     help="per-shard queue bound before load-shedding")
     sp.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
@@ -221,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shards", type=int, default=2,
                     help="edge-range shards per instance, per worker")
     sp.add_argument("--max-batch", type=int, default=512)
-    sp.add_argument("--window-ms", type=float, default=2.0,
-                    help="micro-batch latency window")
     sp.add_argument("--queue-depth", type=int, default=4096,
                     help="per-shard queue bound before load-shedding")
     sp.add_argument("--query-links", type=int, default=2,
@@ -582,8 +578,7 @@ def cmd_route(args, out) -> int:
     cfg = RouterConfig(
         workers=args.workers, replication=args.replication,
         shards=args.shards, max_batch=args.max_batch,
-        batch_window_s=args.window_ms / 1e3, queue_depth=args.queue_depth,
-        engine=args.engine, delta=args.delta,
+        queue_depth=args.queue_depth, engine=args.engine, delta=args.delta,
         host=args.host, port=args.port,
         mmap_dir=args.mmap_dir, cache_dir=args.cache_dir,
         # `serve --workers N` delegates here without the router-only flags
@@ -644,8 +639,8 @@ def cmd_serve(args, out) -> int:
     extra = args.extra_m if args.extra_m is not None else 2 * args.n
     cfg = ServiceConfig(
         shards=args.shards, max_batch=args.max_batch,
-        batch_window_s=args.window_ms / 1e3, queue_depth=args.queue_depth,
-        engine=args.engine, config=_config(args),
+        queue_depth=args.queue_depth, engine=args.engine,
+        config=_config(args),
         cache_dir=args.cache_dir, mmap_dir=args.mmap_dir,
         host=args.host, port=args.port,
     )

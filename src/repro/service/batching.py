@@ -1,11 +1,14 @@
 """Micro-batching: point queries in, vectorised oracle calls out.
 
 One :class:`MicroBatcher` per shard. ``submit`` enqueues a point query
-and returns a future; the worker task takes the first waiting item,
-sleeps the configured batching window (letting concurrent clients pile
-in behind it), drains the queue up to ``max_batch``, and dispatches the
-batch as grouped ``*_bulk`` oracle calls on ONE ``(generation,
-oracle)`` snapshot. Answers are bit-identical to point queries — the
+and returns a future; the worker task wakes on the first submit, takes
+everything queued by then (up to ``max_batch``) and dispatches it as
+grouped ``*_bulk`` oracle calls on ONE ``(generation, oracle)``
+snapshot. Nothing waits on a timer: a query that arrives alone is
+answered alone at once, and batches grow with load — every query
+submitted while the loop was busy elsewhere (a pipelined client's
+burst, a decoded run of frames, the other connections' reads) rides
+the next dispatch. Answers are bit-identical to point queries — the
 bulk kernels are the same comparisons — so batching is purely a
 throughput lever: its amortised per-query cost is one future + one
 queue hop instead of a full dispatch.
@@ -14,14 +17,23 @@ Backpressure is a bounded queue: a full queue sheds the query at
 submit time (:class:`ServiceOverloaded`), which the server surfaces as
 a structured load-shed response rather than unbounded latency.
 
+Writers get their share of the interpreter lock on purpose. A rebuild
+runs on a worker thread in the same process; a loop that always has a
+batch ready re-takes the lock on every zero-timeout poll, so the
+waiting thread never sees a stalled switch and never asks for one
+(the GIL convoy). While its service has a write-path thread in flight
+(:class:`WriterThreads`), a batcher therefore idles for one
+``sys.getswitchinterval()`` after each dispatch; otherwise it never
+waits.
+
 ``max_batch=1`` degenerates to one dispatch per query (the E13
-baseline); the batching window is skipped entirely so the comparison
-isolates exactly the micro-batching win.
+baseline), which isolates exactly the micro-batching win.
 """
 
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 from collections import deque
 from typing import List, Optional, Tuple
@@ -30,9 +42,11 @@ import numpy as np
 
 from ..errors import ValidationError
 from .shards import OracleShard
+from .supervision import STOP_DEADLINE_S
 from .wire import (ST_INTERNAL, ST_OK, ST_RANGE, ST_TYPE)
 
-__all__ = ["MicroBatcher", "ServiceOverloaded", "QUERY_OPS"]
+__all__ = ["MicroBatcher", "ServiceOverloaded", "WriterThreads",
+           "QUERY_OPS"]
 
 #: The four point-query operations (read path).
 QUERY_OPS = ("sensitivity", "survives", "replacement_edge",
@@ -40,6 +54,29 @@ QUERY_OPS = ("sensitivity", "survives", "replacement_edge",
 
 class ServiceOverloaded(Exception):
     """Raised at submit time when a shard's queue is at its bound."""
+
+
+class WriterThreads:
+    """Write-path threads one service has in flight; its batchers read it.
+
+    ``with writers:`` brackets each rebuild or snapshot load the
+    service runs on a worker thread, around the await on that thread.
+    While the count is non-zero, every batcher of that service hands
+    the interpreter lock over after each dispatch (see
+    :meth:`MicroBatcher._run`). Only the event loop's thread counts and
+    reads it, so it needs no lock.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = 0
+
+    def __enter__(self) -> None:
+        self.n += 1
+
+    def __exit__(self, *exc) -> None:
+        self.n -= 1
 
 
 def _resolve(fut, payload) -> None:
@@ -60,13 +97,14 @@ class MicroBatcher:
     """Collects point queries for one shard and dispatches them bulk."""
 
     def __init__(self, shard: OracleShard, *, max_batch: int = 512,
-                 window_s: float = 0.002, queue_depth: int = 4096):
+                 queue_depth: int = 4096,
+                 writers: Optional[WriterThreads] = None):
         if max_batch < 1:
             raise ValidationError("max_batch must be >= 1")
         self.shard = shard
         self.max_batch = int(max_batch)
-        self.window_s = float(window_s)
         self.queue_depth = max(1, int(queue_depth))
+        self.writers = writers if writers is not None else WriterThreads()
         # a plain deque + wake event instead of asyncio.Queue: submit
         # and drain are the per-query hot path (every queue hop is paid
         # even at occupancy 1), and Queue's waiter machinery costs
@@ -74,7 +112,7 @@ class MicroBatcher:
         self._items: deque = deque()
         self._n_queued = 0  # queries queued; a vector item counts len(edges)
         self._wake = asyncio.Event()
-        self._close_wake = asyncio.Event()
+        self._nap: Optional[asyncio.Future] = None  #: the hand-off wait
         self._task: Optional[asyncio.Task] = None
         self._closing = False
 
@@ -167,20 +205,33 @@ class MicroBatcher:
         if self._task is None:
             self._task = asyncio.get_running_loop().create_task(self._run())
 
-    async def stop(self) -> None:
-        """Drain queued queries, then stop the worker — promptly.
+    async def stop(self) -> bool:
+        """Drain queued queries for up to :data:`STOP_DEADLINE_S`, then
+        cancel the worker.
 
-        ``_close_wake`` cuts short a fill window already in progress:
-        without it, a ``stop()`` issued mid-window would still sleep
-        the full ``window_s`` before the drain batch dispatches.
+        A hand-off wait in progress ends at once. Every query the drain
+        did not dispatch raises the :class:`ServiceOverloaded` that
+        ``submit`` raises while the batcher is closing. Returns ``True``
+        if the worker was still running :data:`STOP_DEADLINE_S` after
+        its cancel.
         """
-        if self._task is None:
-            return
+        task, self._task = self._task, None
+        if task is None:
+            return False
         self._closing = True
-        self._close_wake.set()
         self._wake.set()
-        await self._task
-        self._task = None
+        if self._nap is not None:
+            _resolve(self._nap, None)
+        _, late = await asyncio.wait({task}, timeout=STOP_DEADLINE_S)
+        if late:
+            task.cancel()
+            _, late = await asyncio.wait({task}, timeout=STOP_DEADLINE_S)
+        while self._items:
+            fut = self._items.popleft()[3]
+            if not fut.done():
+                fut.set_exception(ServiceOverloaded("service is shutting down"))
+        self._n_queued = 0
+        return bool(late)
 
     async def _run(self) -> None:
         items = self._items
@@ -191,28 +242,34 @@ class MicroBatcher:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            if (self.window_s > 0 and self.max_batch > 1
-                    and len(items) < self.max_batch
-                    and not self._closing):
-                # let concurrently-submitting clients fill the window;
-                # a backlog already holding a full batch dispatches
-                # immediately (the window buys occupancy, not delay).
-                # The wait (not a plain sleep) aborts the instant
-                # stop() sets the close event, so shutdown drains now
-                try:
-                    await asyncio.wait_for(self._close_wake.wait(),
-                                           self.window_s)
-                except asyncio.TimeoutError:
-                    pass
             n = min(len(items), self.max_batch)
             batch = [items.popleft() for _ in range(n)]
             self._n_queued -= sum(
                 len(it[1]) if isinstance(it[1], np.ndarray) else 1
                 for it in batch)
             self._dispatch(batch)
-            # yield between back-to-back full batches so submitters
-            # (and the rest of the loop) are never starved
-            await asyncio.sleep(0)
+            if self.writers.n and not self._closing:
+                await self._hand_off()
+            else:
+                # yield between back-to-back full batches so submitters
+                # (and the rest of the loop) are never starved
+                await asyncio.sleep(0)
+
+    async def _hand_off(self) -> None:
+        """Idle for one switch interval so a write-path thread runs.
+
+        Awaits a plain future that a timer or :meth:`stop` resolves — no
+        ``asyncio.wait_for``, whose cancel can be dropped on
+        Python < 3.12.
+        """
+        loop = asyncio.get_running_loop()
+        self._nap = nap = loop.create_future()
+        timer = loop.call_later(sys.getswitchinterval(), _resolve, nap, None)
+        try:
+            await nap
+        finally:
+            timer.cancel()
+            self._nap = None
 
     def _dispatch(self, batch: List[Tuple]) -> None:
         generation, oracle = self.shard.snapshot()  # one consistent read

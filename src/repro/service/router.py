@@ -84,7 +84,6 @@ class RouterConfig:
     replication: int = 2             #: replicas per instance (cap: workers)
     shards: int = 2                  #: edge-range shards per instance/worker
     max_batch: int = 512
-    batch_window_s: float = 0.002
     queue_depth: int = 4096
     engine: str = "local"
     delta: float = 0.35
@@ -353,7 +352,6 @@ class RouterTier(FrontDoor):
         spec = WorkerSpec(
             worker_id=wid, host=self.config.worker_host,
             shards=self.config.shards, max_batch=self.config.max_batch,
-            batch_window_s=self.config.batch_window_s,
             queue_depth=self.config.queue_depth,
             engine=self.config.engine, delta=self.config.delta,
             oracle_labels=self.config.oracle_labels,

@@ -48,7 +48,8 @@ from ..mpc import MPCConfig
 from ..oracle import SensitivityOracle
 from ..pipeline import ArtifactStore
 from . import wire
-from .batching import QUERY_OPS, MicroBatcher, ServiceOverloaded
+from .batching import (QUERY_OPS, MicroBatcher, ServiceOverloaded,
+                       WriterThreads)
 from .door import FrontDoor
 from .metrics import merged_latency
 from .shards import OracleShard, ShardSpec, plan_shards, route
@@ -57,14 +58,16 @@ from .updates import BatchReport, InstanceUpdater, UpdateReport
 
 __all__ = ["ServiceConfig", "SensitivityService", "ServiceClient"]
 
+_U64 = np.dtype("<u8")
+_SHIFT32 = np.uint64(32)
+
 
 @dataclass
 class ServiceConfig:
     """Deployment knobs for one service process."""
 
     shards: int = 2                  #: edge-range shards per instance
-    max_batch: int = 512             #: micro-batch size cap
-    batch_window_s: float = 0.002    #: latency window a batch may wait
+    max_batch: int = 512             #: most queries one dispatch takes
     queue_depth: int = 4096          #: per-shard bound before shedding
     engine: str = "local"            #: pipeline engine for (re)builds
     oracle_labels: bool = True       #: treat rooting/DFS as black boxes
@@ -101,6 +104,8 @@ class SensitivityService(FrontDoor):
         super().__init__()
         #: binary frames carry instance names as dense u16 ids
         self.wire_symbols = wire.WireSymbols()
+        #: rebuilds and snapshot loads in flight on worker threads
+        self.writers = WriterThreads()
 
     # -- instance lifecycle ----------------------------------------------------
 
@@ -133,18 +138,29 @@ class SensitivityService(FrontDoor):
         specs = plan_shards(graph.m, cfg.shards)
         oracles = updater.shard_oracles(len(specs))
         shards = [OracleShard(spec, orc) for spec, orc in zip(specs, oracles)]
-        batchers = [
-            MicroBatcher(s, max_batch=cfg.max_batch,
-                         window_s=cfg.batch_window_s,
-                         queue_depth=cfg.queue_depth)
-            for s in shards
-        ]
-        inst = _Instance(name=name, updater=updater, shards=shards,
-                         batchers=batchers)
-        self.instances[name] = inst
+        self.instances[name] = _Instance(
+            name=name, updater=updater, shards=shards,
+            batchers=self._new_batchers(shards))
+
+    def _new_batchers(self, shards: List[OracleShard]) -> List[MicroBatcher]:
+        """One batcher per shard, started if the service is running."""
+        cfg = self.config
+        batchers = [MicroBatcher(s, max_batch=cfg.max_batch,
+                                 queue_depth=cfg.queue_depth,
+                                 writers=self.writers)
+                    for s in shards]
         if self._started:
             for b in batchers:
                 b.start()
+        return batchers
+
+    async def _retire(self, name: str,
+                      batchers: List[MicroBatcher]) -> List[str]:
+        """Stop ``batchers`` (each drains its queue first); returns the
+        ones still running ``STOP_DEADLINE_S`` after their cancel."""
+        late = await asyncio.gather(*(b.stop() for b in batchers))
+        return [f"batcher:{name}/{b.shard.spec.shard_id}"
+                for b, missed in zip(batchers, late) if missed]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -161,16 +177,15 @@ class SensitivityService(FrontDoor):
     async def stop(self) -> Dict:
         """Close the door, then drain every shard queue and stop workers.
 
-        Returns ``{"missed_deadline": [...]}``: ingest loops still
-        running ``STOP_DEADLINE_S`` after their cancel.
+        Returns ``{"missed_deadline": [...]}``: ingest loops and
+        batchers still running ``STOP_DEADLINE_S`` after their cancel.
         """
         await self._close_door()
         missed: List[str] = []
         for inst in self.instances.values():
             if inst.ingestor is not None:
                 missed += await inst.ingestor.stop()
-            for b in inst.batchers:
-                await b.stop()
+            missed += await self._retire(inst.name, inst.batchers)
         self._started = False
         self._shutdown.set()
         return {"missed_deadline": missed}
@@ -221,11 +236,12 @@ class SensitivityService(FrontDoor):
             return {"ok": False, "error": str(exc)}
         try:
             fut = inst.batchers[shard_i].submit(op, edge, weight)
+            # a stop sheds what it did not dispatch, as submit would
+            generation, ok, value, error_kind = await fut
         except ServiceOverloaded as exc:
             return {"ok": False, "shed": True, "error": str(exc)}
         except ValidationError as exc:  # e.g. service not started
             return {"ok": False, "error": str(exc)}
-        generation, ok, value, error_kind = await fut
         resp = {"ok": ok, "generation": generation, "shard": shard_i}
         resp["result" if ok else "error"] = value
         if error_kind is not None:
@@ -254,9 +270,10 @@ class SensitivityService(FrontDoor):
             return {"ok": False, "error": str(exc)}
         async with inst.lock:
             try:
-                report: UpdateReport = await asyncio.get_running_loop() \
-                    .run_in_executor(None, inst.updater.apply, inst.shards,
-                                     edge, weight)
+                with self.writers:
+                    report: UpdateReport = await asyncio.get_running_loop() \
+                        .run_in_executor(None, inst.updater.apply,
+                                         inst.shards, edge, weight)
             except ServiceError as exc:
                 return {"ok": False, "error": str(exc),
                         "error_kind": exc.kind}
@@ -293,19 +310,23 @@ class SensitivityService(FrontDoor):
         **synchronously** — ``submit_nowait`` reads specs and batchers
         with no await between them, so it sees old or new, never a mix.
         Old batchers drain their queued queries on the generation they
-        were routed to before stopping.
+        were routed to before stopping; any that miss the stop deadline
+        are named in ``missed_deadline``.
         """
         inst = self.instances[instance]
         async with inst.lock:
-            report: BatchReport = await asyncio.get_running_loop() \
-                .run_in_executor(None, inst.updater.apply_batch, list(ops))
+            with self.writers:
+                report: BatchReport = await asyncio.get_running_loop() \
+                    .run_in_executor(None, inst.updater.apply_batch,
+                                     list(ops))
             old_batchers: List[MicroBatcher] = []
             if report.action == "rebuilt":
                 old_batchers = self._install_generation(inst, report)
-        for b in old_batchers:
-            await b.stop()
+        missed = await self._retire(inst.name, old_batchers)
         out = report.to_dict()
         out["ok"] = report.action != "rejected"
+        if missed:
+            out["missed_deadline"] = missed
         out["report"] = report  # for StreamMetrics; popped by the ingestor
         return out
 
@@ -316,32 +337,34 @@ class SensitivityService(FrontDoor):
         Returns the superseded batchers for the caller to drain/stop
         outside the instance lock.
         """
-        cfg = self.config
         updater = inst.updater
-        specs = plan_shards(updater.graph.m, cfg.shards)
-        oracles = updater.shard_oracles(len(specs))
-        shards = [OracleShard(spec, orc, generation=updater.generation)
+        specs = plan_shards(updater.graph.m, self.config.shards)
+        old_batchers = self._reshard(inst, specs,
+                                     updater.shard_oracles(len(specs)),
+                                     updater.generation)
+        report.snapshot_path = updater.snapshot_path
+        report.snapshot_digest = updater.snapshot_digest
+        return old_batchers
+
+    def _reshard(self, inst: _Instance, specs: List[ShardSpec], oracles,
+                 generation: int) -> List[MicroBatcher]:
+        """Swap in one shard per spec and fresh batchers — synchronously.
+
+        ``submit_nowait`` reads specs and batchers with no await between
+        them, so it sees old or new, never a mix. Returns the superseded
+        batchers for the caller to retire outside the instance lock.
+        """
+        shards = [OracleShard(spec, orc, generation=generation)
                   for spec, orc in zip(specs, oracles)]
-        batchers = [
-            MicroBatcher(s, max_batch=cfg.max_batch,
-                         window_s=cfg.batch_window_s,
-                         queue_depth=cfg.queue_depth)
-            for s in shards
-        ]
         # shard counters survive the reshard (positionally: the shard
         # count only shrinks when m collapses below cfg.shards)
         for new, old in zip(shards, inst.shards):
             new.metrics = old.metrics
         old_batchers = inst.batchers
-        inst.shards = shards          # no await between these two
-        inst.batchers = batchers      # assignments: atomic vs the loop
-        if self._started:
-            for b in batchers:
-                b.start()
-        for s in inst.shards:
+        inst.shards = shards
+        inst.batchers = self._new_batchers(shards)
+        for s in shards:
             s.metrics.swaps += 1
-        report.snapshot_path = updater.snapshot_path
-        report.snapshot_digest = updater.snapshot_digest
         return old_batchers
 
     # -- introspection ---------------------------------------------------------
@@ -468,54 +491,70 @@ class SensitivityService(FrontDoor):
         return {"ok": True,
                 "result": {"wire": wire.WIRE_VERSION, "symbols": symbols}}
 
-    def _group_point_columns(self, arr: np.ndarray, statuses: np.ndarray,
-                             resp: np.ndarray) -> list:
-        """Split one decoded run into per-(instance, op, shard) vector
-        submissions.
+    async def _answer_columns(self, arr: np.ndarray):
+        """Answer one decoded run of point queries, columnar end to end.
 
-        Rows that cannot be routed (unknown instance id, shed at
-        submit time) get their status written in place; everything
-        else comes back as ``(rows, shard_id, future)`` work for the
-        caller to gather. No per-request dicts anywhere.
+        Returns ``(statuses, resp)``: a wire status per row and the
+        ``RESP_DTYPE`` rows (``shard``, ``generation``, ``value``) that
+        go with them. The run splits into one vector submission per
+        ``(instance, op, shard)`` group in one pass: a stable sort on a
+        packed ``(iid, op, edge)`` key lays each group out contiguously,
+        in submit order (instance, op, shard). Shards own contiguous
+        edge ranges, so within one ``(iid, op)`` stretch the shard cuts
+        are a ``searchsorted`` of the shard bounds into the sorted
+        edges. Rows of an unknown instance id, and groups shed at
+        submit or by a closing batcher, get their status written in
+        place. No per-request dicts anywhere.
         """
+        n = len(arr)
+        statuses = np.zeros(n, dtype=np.uint8)
+        resp = np.zeros(n, dtype=wire.RESP_DTYPE)
+        # a record's first 8 bytes, little-endian, are magic | op << 8
+        # | iid << 16 | edge << 32: shifted up 32 they put iid and op
+        # (magic is constant in a run) above the edge
+        key = (arr.view(_U64)[::2] << _SHIFT32) | arr["edge"]
+        order = key.argsort(kind="stable")
+        key = key[order]
+        edges = arr["edge"][order].astype(np.int64)
+        head = key >> _SHIFT32
+        cuts = (head[1:] != head[:-1]).nonzero()[0] + 1
+        starts = [0, *cuts.tolist()] if n else []
         pending = []
-        iids = arr["iid"]
-        for iid in np.unique(iids):
-            pos = np.flatnonzero(iids == iid)
-            name = self.wire_symbols.name_of(int(iid))
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            iid, op_code = divmod(int(head[lo]) >> 8, 256)
+            name = self.wire_symbols.name_of(iid)
             inst = self.instances.get(name) if name is not None else None
             if inst is None:
-                statuses[pos] = wire.ST_UNKNOWN_INSTANCE
+                statuses[order[lo:hi]] = wire.ST_UNKNOWN_INSTANCE
                 continue
-            specs, batchers = inst.specs, inst.batchers
-            edges = arr["edge"][pos].astype(np.int64)
-            if len(specs) == 1:
-                shard_of = np.zeros(len(pos), dtype=np.int64)
-            else:
-                # out-of-range ids clip to the edge shards, whose
-                # batchers answer them with the exact range error
-                bounds = np.array([s.edge_lo for s in specs[1:]],
-                                  dtype=np.int64)
-                shard_of = np.searchsorted(bounds, edges, side="right")
-            types = arr["type"][pos]
-            for op_code in np.unique(types):
-                op = wire.OP_NAME[int(op_code)]
-                sel = types == op_code
-                for shard_i in np.unique(shard_of[sel]):
-                    take = np.flatnonzero(sel & (shard_of == shard_i))
-                    rows = pos[take]
-                    weights = (arr["weight"][rows]
-                               if op == "survives" else None)
-                    try:
-                        fut = batchers[shard_i].submit_vector(
-                            op, edges[take], weights)
-                    except ServiceOverloaded:
-                        statuses[rows] = wire.ST_SHED
-                        resp["shard"][rows] = shard_i
-                        resp["value"][rows] = batchers[shard_i].queue_depth
-                        continue
-                    pending.append((rows, int(shard_i), fut))
-        return pending
+            op = wire.OP_NAME[op_code]
+            batchers = inst.batchers
+            # out-of-range ids sort past every bound into the last
+            # shard, whose batcher answers them with the exact range error
+            split = edges[lo:hi].searchsorted(
+                [b.shard.spec.edge_lo for b in batchers[1:]]) + lo
+            ends = [lo, *split.tolist(), hi]
+            for batcher, a, z in zip(batchers, ends, ends[1:]):
+                if a == z:
+                    continue
+                rows = order[a:z]
+                weights = arr["weight"][rows] if op == "survives" else None
+                try:
+                    pending.append((rows, batcher, batcher.submit_vector(
+                        op, edges[a:z], weights)))
+                except ServiceOverloaded:
+                    _shed_rows(rows, batcher, statuses, resp)
+        for rows, batcher, fut in pending:
+            try:
+                generation, st, vals = await fut
+            except ServiceOverloaded:  # still queued when it stopped
+                _shed_rows(rows, batcher, statuses, resp)
+                continue
+            statuses[rows] = st
+            resp["generation"][rows] = generation
+            resp["shard"][rows] = batcher.shard.spec.shard_id
+            resp["value"][rows] = vals
+        return statuses, resp
 
     async def _answer_points(self, payload: bytes) -> bytes:
         """Answer one run of point frames, columnar end to end."""
@@ -524,17 +563,9 @@ class SensitivityService(FrontDoor):
         arr = np.frombuffer(payload, dtype=wire.POINT_DTYPE)
         n = len(arr)
         wm.record_decode(n, time.perf_counter_ns() - t0)
-        resp = np.zeros(n, dtype=wire.RESP_DTYPE)
-        resp["magic"] = wire.MAGIC
-        statuses = np.zeros(n, dtype=np.uint8)
-        pending = self._group_point_columns(arr, statuses, resp)
-        for rows, shard_i, fut in pending:
-            generation, st, vals = await fut
-            statuses[rows] = st
-            resp["generation"][rows] = generation
-            resp["shard"][rows] = shard_i
-            resp["value"][rows] = vals
+        statuses, resp = await self._answer_columns(arr)
         t0 = time.perf_counter_ns()
+        resp["magic"] = wire.MAGIC
         resp["type"] = wire.RESP_BASE | statuses
         payload = resp.tobytes()
         wm.record_encode(n, time.perf_counter_ns() - t0)
@@ -554,38 +585,39 @@ class SensitivityService(FrontDoor):
         op, iid, edges, weights = wire.decode_bulk_request(frame)
         wm.record_decode(1, time.perf_counter_ns() - t0)
         n = len(edges)
-        statuses = np.zeros(n, dtype=np.uint8)
-        values = np.zeros(n, dtype=np.float64)
         name = self.wire_symbols.name_of(iid)
-        inst = self.instances.get(name) if name is not None else None
-        if inst is None:
-            statuses[:] = wire.ST_UNKNOWN_INSTANCE
+        if name is None or name not in self.instances:
+            statuses = np.full(n, wire.ST_UNKNOWN_INSTANCE, dtype=np.uint8)
             return wire.encode_bulk_response(
-                wire.OP_CODE[op], 0xFFFF, 0, statuses, values)
+                wire.OP_CODE[op], 0xFFFF, 0, statuses,
+                np.zeros(n, dtype=np.float64))
         arr = np.zeros(n, dtype=wire.POINT_DTYPE)
         arr["type"] = wire.OP_CODE[op]
         arr["iid"] = iid
         arr["edge"] = edges
         if weights is not None:
             arr["weight"] = weights
-        resp = np.zeros(n, dtype=wire.RESP_DTYPE)  # scratch for shed rows
-        pending = self._group_point_columns(arr, statuses, resp)
-        generation, shard = 0, 0xFFFF
-        for rows, shard_i, fut in pending:
-            gen, st, vals = await fut
-            statuses[rows] = st
-            values[rows] = vals
-            generation = max(generation, int(gen))
-            shard = shard_i if len(pending) == 1 else 0xFFFF
-        shed = statuses == wire.ST_SHED
-        if shed.any():
-            values[shed] = resp["value"][shed]
+        statuses, resp = await self._answer_columns(arr)
+        # one op, so one group per shard: name the shard if exactly
+        # one group was answered rather than shed
+        served = np.unique(resp["shard"][statuses != wire.ST_SHED])
+        shard = int(served[0]) if len(served) == 1 else 0xFFFF
+        generation = int(resp["generation"].max()) if n else 0
         t0 = time.perf_counter_ns()
         payload = wire.encode_bulk_response(
-            wire.OP_CODE[op], shard, generation, statuses, values)
+            wire.OP_CODE[op], shard, generation, statuses, resp["value"])
         wm.record_encode(1, time.perf_counter_ns() - t0)
         wm.frames_out += 1
         return payload
+
+
+def _shed_rows(rows: np.ndarray, batcher: MicroBatcher,
+               statuses: np.ndarray, resp: np.ndarray) -> None:
+    """Mark one group shed: the shard id plus its queue bound, which the
+    client renders as the same message a JSON shed carries."""
+    statuses[rows] = wire.ST_SHED
+    resp["shard"][rows] = batcher.shard.spec.shard_id
+    resp["value"][rows] = batcher.queue_depth
 
 
 class ServiceClient:

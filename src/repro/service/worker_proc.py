@@ -46,7 +46,6 @@ from ..mpc import MPCConfig
 from ..oracle import SensitivityOracle
 from ..pipeline import ArtifactStore
 from ..serialize import file_digest
-from .batching import MicroBatcher
 from .server import SensitivityService, ServiceConfig, _Instance
 from .shards import OracleShard, plan_shards
 from .updates import InstanceUpdater
@@ -62,7 +61,6 @@ class WorkerSpec:
     host: str = "127.0.0.1"
     shards: int = 2
     max_batch: int = 512
-    batch_window_s: float = 0.002
     queue_depth: int = 4096
     engine: str = "local"
     delta: float = 0.35
@@ -75,7 +73,6 @@ class WorkerSpec:
                   if self.engine == "distributed" else None)
         return ServiceConfig(
             shards=self.shards, max_batch=self.max_batch,
-            batch_window_s=self.batch_window_s,
             queue_depth=self.queue_depth, engine=self.engine,
             oracle_labels=self.oracle_labels, config=config,
             cache_dir=self.cache_dir, mmap_dir=self.mmap_dir,
@@ -147,18 +144,9 @@ class WorkerService(SensitivityService):
         updater.snapshot_digest = digest
         shards = [OracleShard(spec, orc, generation=int(generation))
                   for spec, orc in zip(specs, oracles)]
-        batchers = [
-            MicroBatcher(s, max_batch=cfg.max_batch,
-                         window_s=cfg.batch_window_s,
-                         queue_depth=cfg.queue_depth)
-            for s in shards
-        ]
-        inst = _Instance(name=name, updater=updater, shards=shards,
-                         batchers=batchers)
-        self.instances[name] = inst
-        if self._started:
-            for b in batchers:
-                b.start()
+        self.instances[name] = _Instance(
+            name=name, updater=updater, shards=shards,
+            batchers=self._new_batchers(shards))
 
     def _snapshot_m(self, path: str, digest: str) -> int:
         # edge count comes from the snapshot itself; one cheap map
@@ -208,8 +196,10 @@ class WorkerService(SensitivityService):
             specs = (plan_shards(new_m, cfg.shards) if m_changed
                      else [s.spec for s in inst.shards])
             try:
-                oracles = await asyncio.get_running_loop().run_in_executor(
-                    None, _verified_load, path, digest, len(specs) + 1)
+                with self.writers:
+                    oracles = await asyncio.get_running_loop() \
+                        .run_in_executor(None, _verified_load, path, digest,
+                                         len(specs) + 1)
             except (ValidationError, OSError, ValueError) as exc:
                 return {"ok": False, "error": f"swap failed: {exc}"}
             updater = inst.updater
@@ -236,29 +226,14 @@ class WorkerService(SensitivityService):
                 )
                 updater.last_run = None
                 updater._splice_fp = None
-                shards = [OracleShard(spec, orc, generation=generation)
-                          for spec, orc in zip(specs, oracles)]
-                for new, old in zip(shards, inst.shards):
-                    new.metrics = old.metrics
-                batchers = [
-                    MicroBatcher(s, max_batch=cfg.max_batch,
-                                 window_s=cfg.batch_window_s,
-                                 queue_depth=cfg.queue_depth)
-                    for s in shards
-                ]
-                old_batchers = inst.batchers
-                inst.shards = shards      # synchronous swap: no await
-                inst.batchers = batchers  # between the two assignments
-                if self._started:
-                    for b in batchers:
-                        b.start()
-                for s in inst.shards:
-                    s.metrics.swaps += 1
-        for b in old_batchers:
-            await b.stop()
-        return {"ok": True,
-                "result": {"instance": name, "generation": generation,
-                           "m": inst.updater.graph.m}}
+                old_batchers = self._reshard(inst, specs, oracles,
+                                             generation)
+        result = {"instance": name, "generation": generation,
+                  "m": inst.updater.graph.m}
+        missed = await self._retire(name, old_batchers)
+        if missed:
+            result["missed_deadline"] = missed
+        return {"ok": True, "result": result}
 
 
 async def _worker_async(conn, spec: WorkerSpec) -> None:

@@ -228,12 +228,12 @@ class TestServeCommand:
     def test_parser_accepts_service_knobs(self):
         args = build_parser().parse_args(
             ["serve", "--shapes", "random,grid", "--n", "300",
-             "--shards", "4", "--port", "0", "--window-ms", "1.5",
+             "--shards", "4", "--port", "0",
              "--max-batch", "128", "--queue-depth", "64"]
         )
         assert args.command == "serve"
         assert args.shapes == "random,grid" and args.shards == 4
-        assert args.window_ms == 1.5 and args.port == 0
+        assert args.port == 0
 
     def test_unknown_shape_exits_cleanly(self, capsys):
         code = main(["serve", "--shapes", "dodecahedron"])

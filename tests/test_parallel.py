@@ -339,8 +339,7 @@ class TestServiceCoexistence:
         g, _ = known_mst_instance("random", 200, extra_m=400, rng=6)
 
         async def scenario():
-            svc = SensitivityService(ServiceConfig(shards=2,
-                                                   batch_window_s=0.001))
+            svc = SensitivityService(ServiceConfig(shards=2))
             svc.add_instance("default", g)
             await svc.start()
             try:

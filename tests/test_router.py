@@ -102,16 +102,20 @@ class TestWorkerAdoptSwap:
                 gen1.publish_snapshot()
                 expected = {0: gen0.oracle.sens, 1: gen1.oracle.sens}
 
-                svc = WorkerService(ServiceConfig(shards=2,
-                                                  batch_window_s=0.001))
+                svc = WorkerService(ServiceConfig(shards=2))
                 svc.adopt_instance("default", gen0.snapshot_path,
                                    gen0.snapshot_digest, generation=0)
                 await svc.start()
                 edges = np.arange(0, g.m, 3)
+                landed = asyncio.Event()
 
                 async def storm():
+                    # reads until the swap has landed, plus one round
+                    # after it; the deadline bounds a swap that never lands
                     seen = set()
-                    for _ in range(40):
+                    deadline = time.perf_counter() + 30.0
+                    while time.perf_counter() < deadline:
+                        last_round = landed.is_set()
                         for e in edges[:25]:
                             r = await svc.handle_request(
                                 {"op": "sensitivity", "edge": int(e)})
@@ -121,14 +125,20 @@ class TestWorkerAdoptSwap:
                             assert r["result"] == float(
                                 expected[gen][int(e)])
                         await asyncio.sleep(0)
+                        if last_round:
+                            break
                     return seen
 
                 async def swap():
                     await asyncio.sleep(0.02)
-                    return await svc.handle_request(
-                        {"op": "swap", "instance": "default",
-                         "path": gen1.snapshot_path,
-                         "digest": gen1.snapshot_digest, "generation": 1})
+                    try:
+                        return await svc.handle_request(
+                            {"op": "swap", "instance": "default",
+                             "path": gen1.snapshot_path,
+                             "digest": gen1.snapshot_digest,
+                             "generation": 1})
+                    finally:
+                        landed.set()
 
                 try:
                     seen, swapped = await asyncio.gather(storm(), swap())
@@ -157,8 +167,7 @@ class TestRouterTier:
             expected = {0: ref0.sens, 1: ref1.sens}
 
             rt = RouterTier(RouterConfig(workers=2, replication=2,
-                                         shards=2,
-                                         batch_window_s=0.001))
+                                         shards=2))
             await rt.start(serve_tcp=True)
             try:
                 info = await rt.add_instance("default", g)
@@ -301,7 +310,7 @@ class TestRouterShutdown:
         """Boot a 2-worker tier and relay one binary run whose frames
         alternate between the three instances."""
         rt = RouterTier(RouterConfig(workers=2, replication=2, shards=2,
-                                     port=0, batch_window_s=0.001))
+                                     port=0))
         await rt.start(serve_tcp=True)
         for name, (g, oracle) in instances.items():
             await rt.add_instance(name, g, oracle=oracle)
@@ -478,8 +487,7 @@ class TestServiceLevelMetrics:
     def test_service_snapshot_pools_shard_reservoirs(self):
         async def scenario():
             g = make_graph(n=80)
-            svc = SensitivityService(ServiceConfig(shards=3,
-                                                   batch_window_s=0.001))
+            svc = SensitivityService(ServiceConfig(shards=3))
             svc.add_instance("default", g)
             await svc.start()
             try:

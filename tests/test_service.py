@@ -49,7 +49,6 @@ def make_graph(n=240, seed=11, shape="random"):
 
 async def started_service(graph, name="default", **cfg_kw):
     cfg_kw.setdefault("shards", 3)
-    cfg_kw.setdefault("batch_window_s", 0.001)
     svc = SensitivityService(ServiceConfig(**cfg_kw))
     svc.add_instance(name, graph)
     await svc.start()
@@ -186,7 +185,6 @@ class TestGenerationSwap:
 
         async def scenario():
             svc = await started_service(g, shards=2,
-                                        batch_window_s=0.0005,
                                         queue_depth=1 << 14)
             client = ServiceClient(svc)
             inst = svc.instances["default"]
@@ -275,7 +273,6 @@ class TestLoadShedding:
         async def scenario():
             svc = await started_service(
                 g, shards=1, queue_depth=8, max_batch=8,
-                batch_window_s=0.25,
             )
             client = ServiceClient(svc)
             burst = await asyncio.gather(
@@ -301,41 +298,47 @@ class TestLoadShedding:
 
 class TestClientCancellation:
     def test_cancelled_query_does_not_poison_batch_mates(self):
-        """Regression: a client that stops waiting (``asyncio.wait_for``
-        timeout) leaves a cancelled future inside a live batch;
-        ``set_result`` on it used to raise ``InvalidStateError``, and the
-        per-op error handler then failed every co-batched healthy query
-        of that op with a spurious ``internal`` error."""
+        """Regression: a client that stops waiting leaves a cancelled
+        future inside a live batch; ``set_result`` on it used to raise
+        ``InvalidStateError``, and the per-op error handler then failed
+        every co-batched healthy query of that op with a spurious
+        ``internal`` error."""
         g = make_graph(n=120, seed=9)
 
         async def scenario():
-            svc = await started_service(
-                g, shards=1, max_batch=64, batch_window_s=0.1,
-            )
+            svc = await started_service(g, shards=1, max_batch=64)
             client = ServiceClient(svc)
             edges = [e for e in range(16)]
 
             async def impatient(e):
-                # cancelled long before the 0.1s batching window closes
                 try:
-                    return await asyncio.wait_for(
-                        client.call("sensitivity", edge=e), timeout=0.01)
-                except asyncio.TimeoutError:
+                    return await client.call("sensitivity", edge=e)
+                except asyncio.CancelledError:
                     return {"timed_out": True}
 
             # the doomed query must enqueue *first*: only batch-mates
-            # ordered after the cancelled future were poisoned
+            # ordered after the cancelled future were poisoned. All 16
+            # submit in one loop turn, so they form one batch; the
+            # doomed client gives up in the turn that batch forms
             first = asyncio.ensure_future(impatient(edges[0]))
-            for _ in range(4):   # let wait_for's inner task reach submit
-                await asyncio.sleep(0)
             rest = [asyncio.ensure_future(client.call("sensitivity", edge=e))
                     for e in edges[1:]]
+            batcher = svc.instances["default"].batchers[0]
+            dispatch = batcher._dispatch
+
+            def cancel_then_dispatch(batch):
+                first.cancel()
+                dispatch(batch)
+
+            batcher._dispatch = cancel_then_dispatch
             results = await asyncio.gather(first, *rest)
             metrics = await client.metrics()
             await svc.stop()
             return results, metrics
 
-        results, _ = run(scenario())
+        results, metrics = run(scenario())
+        shard0 = metrics["instances"]["default"]["shards"][0]
+        assert shard0["batches"] == 1 and shard0["queries"] == 16
         assert results[0] == {"timed_out": True}
         oracle = build_oracle(g)
         for e, resp in zip([e for e in range(16)][1:], results[1:]):
@@ -343,6 +346,131 @@ class TestClientCancellation:
             assert resp.get("error_kind") is None
             assert resp["result"] == pytest.approx(
                 float(oracle.sensitivity_bulk(np.array([e]))[0]))
+
+
+class TestBatchingContract:
+    """Batches form from load, not from a timer; writers stay live."""
+
+    def test_lone_query_is_answered_without_waiting(self):
+        g = make_graph(n=120, seed=5)
+
+        async def scenario():
+            svc = await started_service(g, shards=1)
+            q = asyncio.get_running_loop().create_task(
+                svc.query("sensitivity", 3))
+            for _ in range(8):  # a few loop turns, no wall clock
+                await asyncio.sleep(0)
+                if q.done():
+                    break
+            done = q.done()
+            ans = await q
+            await svc.stop()
+            return done, ans
+
+        done, ans = run(scenario())
+        assert done, "a lone query on an idle service was held back"
+        assert ans["ok"]
+
+    def test_one_loop_turn_of_submits_is_one_batch(self):
+        g = make_graph(n=120, seed=5)
+
+        async def scenario():
+            svc = await started_service(g, shards=1)
+            futs = [svc.submit_nowait("sensitivity", e) for e in range(40)]
+            answers = await asyncio.gather(*futs)
+            metrics = svc.metrics()
+            await svc.stop()
+            return answers, metrics
+
+        answers, metrics = run(scenario())
+        shard = metrics["instances"]["default"]["shards"][0]
+        assert shard["batches"] == 1 and shard["batch_occupancy"] == 40
+        oracle = build_oracle(g)
+        assert [v for _gen, _ok, v, _kind in answers] == \
+            oracle.sensitivity_bulk(np.arange(40)).tolist()
+
+    def test_writes_finish_under_zero_think_time_reads(self):
+        """Six clients that re-submit the moment they are answered keep
+        every batcher busy; the rebuild threads must still get the
+        interpreter lock and finish."""
+        g = make_graph(n=1200, seed=21)
+        cover = build_oracle(g, oracle_labels=True).covering_edges()
+        mover = int(np.flatnonzero(~g.tree_mask & cover)[0])
+        heavy = float(g.w.max())
+        ops = [{"kind": "add", "u": j, "v": j + 7, "weight": heavy + 1 + j}
+               for j in range(4)]
+
+        async def scenario():
+            svc = await started_service(g, shards=3, queue_depth=1 << 14)
+            client = ServiceClient(svc)
+            stop = asyncio.Event()
+            reads = [0]
+
+            async def reader(k):
+                rng = np.random.default_rng(k)
+                while not stop.is_set():
+                    e = int(rng.integers(0, g.m))
+                    resp = await client.call("sensitivity", edge=e)
+                    assert resp.get("ok") or resp.get("error_kind"), resp
+                    reads[0] += 1
+
+            readers = [asyncio.ensure_future(reader(k)) for k in range(6)]
+            await asyncio.sleep(0.02)
+            writes = [asyncio.ensure_future(client.update_batch(ops)),
+                      asyncio.ensure_future(
+                          client.update(mover, float(g.w[mover]) + 3.0))]
+            done, late = await asyncio.wait(writes, timeout=30.0)
+            stop.set()
+            await asyncio.gather(*readers)
+            await svc.stop()
+            return [w.result() for w in done], late, reads[0]
+
+        results, late, reads = run(scenario())
+        assert not late, "a write starved behind zero-think-time reads"
+        assert all(r["ok"] for r in results), results
+        assert reads > 0
+
+    def test_stop_is_bounded_and_sheds_the_queue(self, monkeypatch):
+        """A worker that ignores the close and swallows its first cancel
+        is named in ``missed_deadline`` (by the structural swap that
+        retired it and by ``stop()``), and every query still queued
+        answers with the shed status instead of hanging."""
+        from repro.service import MicroBatcher, batching, wire
+
+        async def wedged(self):
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                await asyncio.sleep(3600)  # the second cancel ends it
+
+        monkeypatch.setattr(batching, "STOP_DEADLINE_S", 0.05)
+        monkeypatch.setattr(MicroBatcher, "_run", wedged)
+        g = make_graph(n=120, seed=5)
+        ops = [{"kind": "add", "u": 0, "v": 5,
+                "weight": float(g.w.max()) + 1.0}]
+
+        async def scenario():
+            svc = await started_service(g, shards=1)
+            swapped = await svc.update_batch(ops)
+            svc.hello({})
+            loop = asyncio.get_running_loop()
+            q = loop.create_task(svc.query("sensitivity", 0))
+            frames = loop.create_task(svc._answer_points(
+                wire.encode_point("sensitivity", 0, 1)))
+            await asyncio.sleep(0)
+            t0 = time.perf_counter()
+            report = await svc.stop()
+            took = time.perf_counter() - t0
+            return swapped, report, took, await q, await frames
+
+        swapped, report, took, ans, frames = run(scenario())
+        assert swapped["ok"]
+        assert swapped["missed_deadline"] == ["batcher:default/0"]
+        assert report == {"missed_deadline": ["batcher:default/0"]}
+        assert took < 1.0
+        assert ans == {"ok": False, "shed": True,
+                       "error": "service is shutting down"}
+        assert frames[1] == wire.RESP_BASE | wire.ST_SHED
 
 
 class TestUpdatePath:
@@ -470,7 +598,7 @@ class TestTcpFrontDoor:
 
         async def scenario():
             svc = SensitivityService(ServiceConfig(
-                shards=2, batch_window_s=0.001, port=0))
+                shards=2, port=0))
             svc.add_instance("default", g)
             await svc.start(serve_tcp=True)
             host, port = svc.tcp_address
@@ -573,7 +701,7 @@ class TestServeProcess:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--shapes",
              "random,power_law", "--n", "200", "--shards", "2",
-             "--port", "0", "--window-ms", "1"],
+             "--port", "0"],
             stdout=subprocess.PIPE, text=True, env=env,
         )
         try:
@@ -633,25 +761,39 @@ class TestServeProcess:
 
 
 class TestShutdownLatency:
-    def test_stop_mid_window_is_prompt(self):
-        """stop() issued while a batcher sits inside its fill window
-        must cut the window short: the queued query still answers, and
-        the whole shutdown lands well under window_s."""
-        g = make_graph(n=120, seed=37)
+    def test_stop_mid_window_is_prompt(self, monkeypatch):
+        """stop() issued while a batcher sits in its writer hand-off
+        (a rebuild is running) must end that wait at once: the queued
+        query still answers, and the whole shutdown lands well under
+        the hand-off length (stretched to 10 s here)."""
+        import sys
+
+        monkeypatch.setattr(sys, "getswitchinterval", lambda: 10.0)
+        g = make_graph(n=1500, seed=37)
 
         async def scenario():
-            svc = await started_service(g, shards=1, batch_window_s=0.5)
+            svc = await started_service(g, shards=1)
+            inst = svc.instances["default"]
+            cover = inst.updater.oracle.covering_edges()
+            mover = int(np.flatnonzero(~g.tree_mask & cover)[0])
+            rebuild = asyncio.get_running_loop().create_task(
+                svc.update(mover, float(g.w[mover]) + 3.0))
+            while not svc.writers.n:  # the rebuild thread is running
+                await asyncio.sleep(0)
+            # one dispatch while the writer runs: the batcher now naps
+            assert (await svc.query("sensitivity", 0))["ok"]
             q = asyncio.get_running_loop().create_task(
-                svc.query("sensitivity", 0))
-            await asyncio.sleep(0.05)  # the worker is now mid-window
+                svc.query("sensitivity", 1))
+            await asyncio.sleep(0)  # queued behind the nap
             t0 = time.perf_counter()
             await svc.stop()
             stopped_in = time.perf_counter() - t0
+            await rebuild
             return stopped_in, await q
 
         stopped_in, ans = run(scenario())
         assert ans["ok"]
-        assert stopped_in < 0.25  # far below the 0.5s fill window
+        assert stopped_in < 0.25  # far below the 10 s hand-off
 
 
 class TestLoadgenHandshake:

@@ -53,7 +53,6 @@ def make_graph(n=240, seed=11, shape="random"):
 
 async def started_service(graph, name="default", **cfg_kw):
     cfg_kw.setdefault("shards", 3)
-    cfg_kw.setdefault("batch_window_s", 0.001)
     svc = SensitivityService(ServiceConfig(**cfg_kw))
     svc.add_instance(name, graph)
     await svc.start()

@@ -164,7 +164,7 @@ class TestSelfHealing:
             ref = build_oracle(g)
             rt = RouterTier(RouterConfig(
                 workers=2, replication=2, shards=2,
-                batch_window_s=0.001, heartbeat_s=0.05,
+                heartbeat_s=0.05,
                 restart_backoff_s=0.01, read_retry_deadline_s=30.0))
             await rt.start()
             try:
@@ -229,7 +229,7 @@ class TestSelfHealing:
 
             rt = RouterTier(RouterConfig(
                 workers=2, replication=2, shards=2,
-                batch_window_s=0.001, heartbeat_s=0.05,
+                heartbeat_s=0.05,
                 restart_backoff_s=0.01, read_retry_deadline_s=30.0))
             await rt.start()
             try:
@@ -325,7 +325,7 @@ class TestReplicaResync:
 
             rt = RouterTier(RouterConfig(
                 workers=2, replication=2, shards=2,
-                batch_window_s=0.001, heartbeat_s=60.0,
+                heartbeat_s=60.0,
                 restart_backoff_s=0.01))
             await rt.start()
             try:

@@ -45,7 +45,6 @@ def make_graph(n=120, seed=11):
 
 async def started_tcp(graph, name="default", **cfg_kw):
     cfg_kw.setdefault("shards", 2)
-    cfg_kw.setdefault("batch_window_s", 0.001)
     cfg_kw.setdefault("port", 0)
     svc = SensitivityService(ServiceConfig(**cfg_kw))
     svc.add_instance(name, graph)
@@ -370,7 +369,7 @@ class TestHelloNegotiation:
         async def scenario():
             g = make_graph(n=60)
             svc = SensitivityService(ServiceConfig(
-                shards=2, batch_window_s=0.0, port=0))
+                shards=2, port=0))
             svc.add_instance("beta", g)
             svc.add_instance("alpha", g)
             await svc.start(serve_tcp=True)
@@ -574,7 +573,7 @@ class TestRouterZeroParseRelay:
             g = make_graph(n=120, seed=7)
             rt = RouterTier(RouterConfig(
                 workers=2, replication=2, shards=2, port=0,
-                batch_window_s=0.001, queue_depth=1 << 15))
+                queue_depth=1 << 15))
             await rt.start(serve_tcp=True)
             try:
                 await rt.add_instance("g0", g)
