@@ -15,7 +15,11 @@ transport schedule is untouched).
 
 Acceptance gate: on the local engine at n >= GATE_MIN_N, the aggregate
 (summed across families) verify+sensitivity wall speedup must reach
-``MIN_SPEEDUP``; recorded in ``BENCH_E14.json``.
+``MIN_SPEEDUP``; recorded in ``BENCH_E14.json``. A second gate pins an
+operator choice by count, which is portable across runners where a
+kernel speed ratio is not: at every gate size, one planned
+verify+sensitivity pass must answer some wide-key predecessor joins by
+``merge-search`` (``merge_search_joins`` in the JSON).
 """
 
 import time
@@ -25,7 +29,7 @@ import numpy as np
 from repro.analysis import render_table
 from repro.core.sensitivity import mst_sensitivity
 from repro.core.verification import verify_mst
-from repro.mpc import MPCConfig
+from repro.mpc import LocalRuntime, MPCConfig
 
 try:  # direct `python benchmarks/bench_e14_...py` runs (CI gate step)
     from common import QUICK, emit_json, shape_instance, timed
@@ -104,9 +108,22 @@ def _gate(speedups):
     return worst >= MIN_SPEEDUP, worst
 
 
+def _merge_search_joins(n: int) -> int:
+    """Joins answered by ``merge-search`` in one planned verify +
+    sensitivity pass over the random family at size ``n``."""
+    g = shape_instance("random", n, seed=3)
+    count = 0
+    for run in (verify_mst, mst_sensitivity):
+        rt = LocalRuntime(MPCConfig(planner=True))
+        run(g, runtime=rt)
+        count += rt.planner.log.totals().get("phys_merge-search", 0)
+    return count
+
+
 def test_e14_table(table_sink, benchmark):
     with timed() as t:
         rows, speedups = _sweep()
+    merged = {n: _merge_search_joins(n) for n in GATE_SIZES}
     g = shape_instance("random", SIZES[0], seed=3)
     benchmark.pedantic(
         lambda: mst_sensitivity(g, engine="local", config=MPCConfig()),
@@ -117,7 +134,8 @@ def test_e14_table(table_sink, benchmark):
                       "min_speedup": MIN_SPEEDUP, "reps": REPS},
               HEADERS, rows, wall_s=t.wall_s,
               agg_speedups={str(n): round(s, 3)
-                            for n, s in speedups.items()})
+                            for n, s in speedups.items()},
+              merge_search_joins={str(n): c for n, c in merged.items()})
     table_sink(
         "E14: planner speedup, eager vs planned execution "
         "(verify+sensitivity, bit-identical outputs asserted)",
@@ -128,6 +146,9 @@ def test_e14_table(table_sink, benchmark):
         f"planned/eager speedup {worst:.2f}x at n>={GATE_MIN_N} is below "
         f"the {MIN_SPEEDUP}x floor — a planner rewrite stopped firing"
     )
+    assert min(merged.values()) > 0, (
+        f"no join answered by merge-search at the gate sizes: {merged}"
+    )
 
 
 if __name__ == "__main__":
@@ -136,4 +157,8 @@ if __name__ == "__main__":
     ok, worst = _gate(speedups)
     print(f"speedup gate ({MIN_SPEEDUP}x floor at n>={GATE_MIN_N}): "
           f"worst {worst:.2f}x -> {'PASS' if ok else 'FAIL'}")
-    raise SystemExit(0 if ok else 1)
+    merged = {n: _merge_search_joins(n) for n in GATE_SIZES}
+    merge_ok = min(merged.values()) > 0
+    print(f"merge-search gate (> 0 joins at n>={GATE_MIN_N}): {merged} "
+          f"-> {'PASS' if merge_ok else 'FAIL'}")
+    raise SystemExit(0 if ok and merge_ok else 1)

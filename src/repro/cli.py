@@ -359,9 +359,9 @@ def cmd_profile(args, out) -> int:
 #: Order in which physical-operator counters print in ``explain``.
 _EXPLAIN_PHYS = (
     "identity", "cse", "argsort-permute", "dense-gather", "direct-address",
-    "binary-search", "empty-data", "grouped-reduceat", "sort-reduceat",
-    "segmented-scan", "mask-compact", "aggregation-tree", "sample-sort",
-    "co-sort-copy-down", "carry-chain", "sort-scan-boundary",
+    "merge-search", "binary-search", "empty-data", "grouped-reduceat",
+    "sort-reduceat", "segmented-scan", "mask-compact", "aggregation-tree",
+    "sample-sort", "co-sort-copy-down", "carry-chain", "sort-scan-boundary",
     "compact-rebalance",
 )
 
@@ -423,6 +423,7 @@ def cmd_explain(args, out) -> int:
     joins = sum(tot.get(k, 0) for k in
                 ("phys_dense-gather", "phys_direct-address"))
     out.write(f"        {joins} joins answered by direct addressing, "
+              f"{tot.get('phys_merge-search', 0)} by merge search, "
               f"{tot.get('phys_binary-search', 0)} by binary search\n")
     if args.full:
         out.write("\nplan nodes:\n")

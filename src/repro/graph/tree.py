@@ -262,22 +262,22 @@ class RootedTree:
         """Vectorised lowest common ancestors."""
         up, _ = self._lifting()
         depth = self.depths()
-        a = np.asarray(a, dtype=np.int64).copy()
-        b = np.asarray(b, dtype=np.int64).copy()
-        da, db = depth[a], depth[b]
-        swap = da < db
-        a[swap], b[swap] = b[swap].copy(), a[swap].copy()
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        swap = depth[a] < depth[b]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
         diff = depth[a] - depth[b]
+        # full-width np.where, as in min_cover_to_ancestor: masked
+        # gathers over ~random bits cost more than gathering every row
         for k in range(up.shape[0]):
-            sel = ((diff >> k) & 1) == 1
-            a[sel] = up[k][a[sel]]
-        neq = a != b
+            a = np.where(((diff >> k) & 1) == 1, up[k][a], a)
+        # pairs already equal have equal ancestors at every level
         for k in range(up.shape[0] - 1, -1, -1):
-            move = neq & (up[k][a] != up[k][b])
-            a[move] = up[k][a[move]]
-            b[move] = up[k][b[move]]
-        a[neq] = up[0][a[neq]]
-        return a
+            ua, ub = up[k][a], up[k][b]
+            move = ua != ub
+            a = np.where(move, ua, a)
+            b = np.where(move, ub, b)
+        return np.where(a != b, up[0][a], a)
 
     def path_max_to_ancestor(self, v: np.ndarray, anc: np.ndarray) -> np.ndarray:
         """Max edge weight on the path from each ``v`` up to its ancestor.
@@ -287,14 +287,14 @@ class RootedTree:
         """
         up, mx = self._lifting()
         depth = self.depths()
-        v = np.asarray(v, dtype=np.int64).copy()
+        v = np.asarray(v, dtype=np.int64)
         anc = np.asarray(anc, dtype=np.int64)
         diff = depth[v] - depth[anc]
         out = np.full(len(v), -np.inf, dtype=np.float64)
         for k in range(up.shape[0]):
-            sel = ((diff >> k) & 1) == 1
-            out[sel] = np.maximum(out[sel], mx[k][v[sel]])
-            v[sel] = up[k][v[sel]]
+            bit = ((diff >> k) & 1) == 1
+            np.maximum(out, np.where(bit, mx[k][v], -np.inf), out=out)
+            v = np.where(bit, up[k][v], v)
         return out
 
     def min_cover_to_ancestor(self, v: np.ndarray, anc: np.ndarray,

@@ -16,6 +16,7 @@ from ..errors import ProtocolError
 __all__ = [
     "stable_argsort",
     "search_slots",
+    "merge_search_slots",
     "check_unique_sorted",
     "segment_starts",
     "segmented_scan",
@@ -83,6 +84,48 @@ def search_slots(dks: np.ndarray, qk: np.ndarray, *, exact: bool) -> np.ndarray:
         return pos
     hit = dks[np.minimum(pos, len(dks) - 1)] == qk
     return np.where(hit, pos + 1, 0)
+
+
+def merge_search_slots(dks: np.ndarray, qk: np.ndarray) -> np.ndarray:
+    """Predecessor slots ``np.searchsorted(dks, qk, side="right")`` by a
+    merge instead of one binary search per query.
+
+    ``dks`` is sorted and non-empty; both are signed integer keys. The
+    local form of the distributed engine's co-sort and copy-down: the
+    queries strictly inside ``[dks[0], dks[-1])`` are sorted once as the
+    distinct words ``(key - lo) << b | row``, each data key is searched
+    into that run (``nd`` searches instead of ``nq``), the run lengths
+    between consecutive data keys expand into slots with one
+    ``np.repeat``, and the rows scatter them back to query order.
+    Queries below ``dks[0]`` read 0 and queries at or above ``dks[-1]``
+    read ``nd`` without entering the sort. Keys whose packed word would
+    not fit an int64 fall back to the binary search.
+    """
+    nd, nq = len(dks), len(qk)
+    lo, hi = int(dks[0]), int(dks[-1])
+    b = (nq - 1).bit_length()  # row bits
+    if (hi - lo) << b > np.iinfo(np.int64).max:
+        return np.searchsorted(dks, qk, side="right")
+    top = qk >= hi
+    inside = qk >= lo
+    inside ^= top  # hi >= lo, so top is a subset of (qk >= lo)
+    slot = top.astype(np.int64)
+    slot *= nd
+    rows = np.flatnonzero(inside)
+    words = qk[rows].astype(np.int64, copy=False)
+    words -= lo
+    words <<= b
+    words |= rows
+    words.sort()
+    marks = dks.astype(np.int64)
+    marks -= lo
+    marks <<= b
+    # inside keys are >= dks[0], so starts[0] == 0 and the runs cover all
+    starts = np.searchsorted(words, marks, side="left")
+    runs = np.diff(starts, append=len(words))
+    words &= (1 << b) - 1
+    slot[words] = np.repeat(np.arange(1, nd + 1, dtype=np.int64), runs)
+    return slot
 
 
 def check_unique_sorted(dks: np.ndarray) -> None:

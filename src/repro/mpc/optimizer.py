@@ -32,10 +32,21 @@ verification (never assumed). The rule set:
       predecessor, plus a running maximum over the range) replaces the
       per-query binary search — ~6-20x faster than ``searchsorted`` at
       this repo's shapes;
-    * ``binary-search`` — the eager kernel, used when the key range is
-      too wide to address directly (e.g. packed composite keys).
+    * ``merge-search`` — predecessor joins whose key range is too wide
+      to address directly (the labelling, LCA and sensitivity replays'
+      packed (cluster, DFS-low) keys span ~n²) and whose query side is
+      large against the data: the queries are sorted once and merged
+      with the data keys (:func:`~repro.mpc.kernels.merge_search_slots`),
+      the local realisation of the message-level engine's co-sort and
+      copy-down;
+    * ``binary-search`` — the eager kernel, used for every other join
+      whose key range is too wide to address directly: exact lookups
+      over packed composite keys, and predecessor joins with few
+      queries.
 
-    Each resolves the join to one slot vector (:class:`JoinPlan`).
+    Each resolves the join to one slot vector (:class:`JoinPlan`), and
+    all four vectors are bit-identical to the eager
+    :func:`~repro.mpc.kernels.search_slots`.
 
 The message-level engine accepts only check elisions and fusion facts:
 its transport schedule is the physical ground truth the planner must
@@ -51,7 +62,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .kernels import check_unique_sorted, search_slots, stable_argsort
+from .kernels import (check_unique_sorted, merge_search_slots, search_slots,
+                      stable_argsort)
 
 __all__ = ["JoinPlan", "Optimizer", "DIRECT_SPAN_SLACK"]
 
@@ -60,6 +72,23 @@ __all__ = ["JoinPlan", "Optimizer", "DIRECT_SPAN_SLACK"]
 #: join's own size to be a win — and to respect the memory model).
 DIRECT_SPAN_SLACK = 8
 DIRECT_SPAN_FLOOR = 4096
+
+#: ``merge-search`` answers a wide-span predecessor join with at least
+#: ``MERGE_MIN_QUERIES`` queries and ``MERGE_QUERY_RATIO`` queries per
+#: data row. Crossover measured on a 2-vCPU Xeon (best of 7 per join)
+#: over the 637 wide-span predecessor joins that one verify and one
+#: sensitivity call issue on a random and a backbone2048 graph at
+#: n = 4096 and 16384: binary search takes 356 ms for all of them, and
+#: merging the 566 these constants select cuts that to 120 ms (largest
+#: join, nq = 65503 and nd = 4106: 1125 -> 736 us). The joins below the
+#: query floor are small (nq < 1024: ~3 us searched vs ~21 us merged)
+#: or have nq < 2 nd. The 40 selected joins the merge still loses, each
+#: by < 0.12 ms, have nd <= 146; a floor on nd would forfeit more than
+#: it saves (120 -> 124 ms at nd >= 32). Queries already in key order
+#: favour the binary search (~2x on synthetic joins), but the captured
+#: ones arrive unordered.
+MERGE_MIN_QUERIES = 4096
+MERGE_QUERY_RATIO = 2
 
 
 @dataclass
@@ -225,6 +254,10 @@ class Optimizer:
             slot = table[np.clip(idx, 0, span + 1, out=idx)]
             node.physical = ("dense-gather" if unique and span == nd
                             else "direct-address")
+        elif (not exact and nq >= MERGE_MIN_QUERIES
+              and nq >= MERGE_QUERY_RATIO * nd):
+            node.physical = "merge-search"
+            slot = merge_search_slots(dks, qk)
         else:
             node.physical = "binary-search"
             slot = search_slots(dks, qk, exact=exact)

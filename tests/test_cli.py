@@ -69,6 +69,17 @@ class TestExplainCommand:
         elided = int(totals.split(" sorts elided")[0].split(",")[-1].strip())
         assert elided >= 1
         assert "direct addressing" in totals
+        assert "by merge search" in totals
+
+    def test_wide_predecessor_joins_merge(self):
+        """At n=2000 the labelling replay's wide-key predecessor joins
+        have enough queries to be answered by merge search."""
+        code, text = run_cli(["explain", "--kind", "verify", "--n", "2000"])
+        assert code == 0
+        totals = text.split("totals:")[1]
+        merged = int(totals.split(" by merge search")[0].split(",")[-1])
+        assert merged >= 1
+        assert "merge-search" in text.split("totals:")[0]
 
     def test_full_listing_shows_nodes(self):
         code, text = run_cli(["explain", "--kind", "verify", "--n", "100",

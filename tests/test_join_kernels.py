@@ -6,7 +6,8 @@ both. Each kernel is checked here against an independent reference:
 
 * ``stable_argsort`` against ``np.argsort(kind="stable")``;
 * slot vectors (``search_slots`` and the optimizer's direct-address
-  tables) against brute-force first/last-match positions;
+  tables) against brute-force first/last-match positions, and
+  ``merge_search_slots`` against ``np.searchsorted(side="right")``;
 * joins on both paths against the masked-scatter assembly the engine
   used before slot vectors, values *and* dtypes;
 * ``pack_pair`` against packing the concatenated tables.
@@ -16,10 +17,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KeyPackingError, ProtocolError
 from repro.mpc import LocalRuntime, MPCConfig
-from repro.mpc.kernels import search_slots, stable_argsort
+from repro.mpc.kernels import merge_search_slots, search_slots, stable_argsort
+from repro.mpc.optimizer import MERGE_MIN_QUERIES
 from repro.mpc.runtime import pack_columns, pack_pair
 from repro.mpc.table import Table
 
@@ -109,6 +113,57 @@ def test_search_slots_on_empty_data_all_miss(exact):
     qk = np.array([-3, 0, 9], dtype=np.int64)
     got = search_slots(np.empty(0, dtype=np.int64), qk, exact=exact)
     np.testing.assert_array_equal(got, [0, 0, 0])
+
+
+@st.composite
+def merge_joins(draw):
+    """Sorted data keys and queries for the merge-search kernel.
+
+    Data keys repeat when their range is narrow; queries mix copies of
+    data keys, keys inside the range, keys below and above it (down to
+    the dtype's extremes) or only out-of-range keys. A huge range makes
+    the packed word overflow and the kernel fall back.
+    """
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    info = np.iinfo(dtype)
+    nd = draw(st.sampled_from([1, 2, 5, 40, 300]))
+    nq = draw(st.sampled_from([0, 1, 9, 500, MERGE_MIN_QUERIES - 1,
+                               MERGE_MIN_QUERIES]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 7)) == 0 and dtype is np.int64:
+        lo, hi = -(1 << 62), 1 << 62  # (hi - lo) << b overflows int64
+    else:
+        lo = draw(st.sampled_from([-(1 << 30), -1000, 0, 1 << 20]))
+        hi = lo + draw(st.sampled_from([0, 3, 60, 1 << 28]))
+    dks = np.sort(rng.integers(lo, hi, nd, endpoint=True)).astype(dtype)
+    lo, hi = int(dks[0]), int(dks[-1])
+    below = rng.integers(info.min, lo, nq, endpoint=True)
+    above = rng.integers(hi, info.max, nq, endpoint=True)
+    pools = [below, above, np.full(nq, info.min), np.full(nq, info.max)]
+    if not draw(st.booleans()):  # else every query is out of range
+        pools += [rng.choice(dks, nq), rng.integers(lo, hi, nq, endpoint=True)]
+    pick = rng.integers(0, len(pools), nq)
+    qk = np.choose(pick, pools).astype(dtype) if nq else np.empty(0, dtype)
+    return dks, qk
+
+
+@given(merge_joins())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_merge_search_slots_match_searchsorted(join):
+    dks, qk = join
+    got = merge_search_slots(dks, qk)
+    want = np.searchsorted(dks, qk, side="right")
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_merge_search_first_query_equal_to_a_data_key():
+    # row 0 packs to exactly (key - lo) << b: the data-key search must
+    # place it after the data key (count of queries strictly below)
+    dks = np.array([10, 20, 20, 30, 40], dtype=np.int64)
+    qk = np.array([20, 10, 39, 40, 9, 41, 30, 25], dtype=np.int64)
+    np.testing.assert_array_equal(merge_search_slots(dks, qk),
+                                  [3, 1, 4, 5, 0, 5, 4, 3])
 
 
 def _planned_slots(dk, qk, *, exact, unique=False):

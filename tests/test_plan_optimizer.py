@@ -22,6 +22,7 @@ from repro.core.verification import distributed_hint
 from repro.errors import KeyPackingError, ProtocolError
 from repro.graph.generators import known_mst_instance
 from repro.mpc import LocalRuntime, MPCConfig, Table, make_runtime
+from repro.mpc.optimizer import MERGE_MIN_QUERIES, MERGE_QUERY_RATIO
 from repro.mpc.plan import LazyTable
 
 
@@ -191,6 +192,56 @@ class TestJoinRules:
                                                      "dense-gather")
         eo = ref.predecessor(q, "k", data, "k", {"v": "v"}, {"v": -5})
         assert_tables_bitwise(out, eo)
+
+    @pytest.mark.parametrize("sort", [True, False])
+    def test_merge_search_predecessor_matches_eager(self, rng, sort):
+        """A wide-span predecessor join with many queries merges; the
+        output equals the eager binary search's, unsorted data included
+        (remapped through the join's order)."""
+        rt, ref = planned_rt(), eager_rt()
+        dk = rng.integers(0, 1 << 40, size=300)
+        dk[10:20] = dk[5]  # duplicates: the last one <= the query wins
+        if sort:
+            dk = np.sort(dk)
+        data = Table(k=dk, v=np.arange(300, dtype=np.int64),
+                     w=rng.standard_normal(300))
+        q = Table(k=np.concatenate([
+            rng.choice(dk, MERGE_MIN_QUERIES // 2),
+            rng.integers(-5, (1 << 40) + 5, MERGE_MIN_QUERIES // 2)]))
+        out = rt.predecessor(q, "k", data, "k", {"v": "v", "w": "w"},
+                             {"v": -5, "w": float("-inf")})
+        assert rt.planner.log.nodes[-1].physical == "merge-search"
+        eo = ref.predecessor(q, "k", data, "k", {"v": "v", "w": "w"},
+                             {"v": -5, "w": float("-inf")})
+        assert_tables_bitwise(out, eo)
+
+    @pytest.mark.parametrize("nq,nd,exact,want", [
+        (MERGE_MIN_QUERIES, 8, False, "merge-search"),
+        (MERGE_MIN_QUERIES - 1, 8, False, "binary-search"),
+        (MERGE_MIN_QUERIES, MERGE_MIN_QUERIES // MERGE_QUERY_RATIO, False,
+         "merge-search"),
+        (MERGE_MIN_QUERIES, MERGE_MIN_QUERIES // MERGE_QUERY_RATIO + 1,
+         False, "binary-search"),
+        (MERGE_MIN_QUERIES, 8, True, "binary-search"),
+    ])
+    def test_merge_search_selection(self, rng, nq, nd, exact, want):
+        """Chosen from the join's own sizes: predecessor joins only, at
+        or above the query floor and the query/data ratio."""
+        rt, ref = planned_rt(), eager_rt()
+        data = Table(k=rng.choice(1 << 40, size=nd, replace=False),
+                     v=np.arange(nd, dtype=np.int64))
+        q = Table(k=np.concatenate([data.col("k"),
+                                    rng.integers(0, 1 << 40, nq - nd)]))
+        outs = []
+        for r in (rt, ref):
+            if exact:
+                outs.append(r.lookup(q, ("k",), data, ("k",), {"v": "v"},
+                                     default={"v": -1}))
+            else:
+                outs.append(r.predecessor(q, "k", data, "k", {"v": "v"},
+                                          {"v": -1}))
+        assert rt.planner.log.nodes[-1].physical == want
+        assert_tables_bitwise(*outs)
 
     def test_duplicate_first_wins_matches_eager(self, rng):
         """check_unique=False + duplicate keys: searchsorted-left picks
