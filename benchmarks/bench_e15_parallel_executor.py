@@ -1,4 +1,4 @@
-"""E15 — process-parallel executor: workload partitions vs serial wall.
+"""E15 — workload partitions on the worker pool vs serial wall.
 
 K independent seeded sensitivity instances are one workload; the serial
 baseline runs them one after another in this process, the parallel run
@@ -11,9 +11,10 @@ parallelism must never touch the cost stream.
 
 Acceptance gate: wall speedup >= cores/2 (``os.cpu_count()``). On a
 single-core runner that floor is 0.5x — i.e. process shipping may cost
-at most 2x, documenting that the executor's overhead stays bounded even
+at most 2x, documenting that the pool's overhead stays bounded even
 where no parallelism is available; on multi-core hardware the same
-formula demands real scaling. Recorded in ``BENCH_E15.json``.
+formula demands real scaling. Recorded in ``BENCH_E15.json`` (the file
+keeps its historical ``parallel_executor`` name).
 """
 
 import os
@@ -74,7 +75,7 @@ def _assert_partitions_bit_identical(outs, serial):
 
 def _sweep():
     pool = get_pool()
-    pool.ping()  # warm the pool: spawn cost is not the executor's cost
+    pool.ping()  # warm the pool: spawn cost is not the partitions' cost
     rows = []
     total = [0.0, 0.0]  # serial, parallel
     for family in FAMILIES:
@@ -116,14 +117,14 @@ def test_e15_table(table_sink, benchmark):
               HEADERS, rows, wall_s=t.wall_s,
               agg_speedup=round(speedup, 3))
     table_sink(
-        "E15: process-parallel executor, workload partitions vs serial "
+        "E15: workload partitions on the worker pool vs serial "
         "(outputs and per-partition CostReports bit-identical, asserted)",
         render_table(HEADERS, rows),
     )
     ok, got = _gate(speedup)
     assert ok, (
         f"partitioned speedup {got:.2f}x is below the cores/2 floor "
-        f"({MIN_SPEEDUP:.2f}x on {CORES} cores) — executor overhead "
+        f"({MIN_SPEEDUP:.2f}x on {CORES} cores) — pool overhead "
         f"is eating the parallelism"
     )
 

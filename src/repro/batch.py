@@ -185,8 +185,8 @@ class BatchRunner:
 
     ``processes=1`` runs inline (no pool — handy under debuggers and in
     tests); otherwise jobs run on the shared fault-isolated
-    :class:`~repro.mpc.parallel.WorkerPool` (the same pool the process
-    executor uses, started from an explicit forkserver/spawn context —
+    :class:`~repro.mpc.parallel.WorkerPool` (the same pool workload
+    partitions use, started from an explicit forkserver/spawn context —
     never implicit ``fork``, which would snapshot live service threads
     and event loops) and results come back in submission order
     regardless of completion order. Per-job failures are *contained*:

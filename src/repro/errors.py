@@ -53,8 +53,8 @@ class ProtocolError(ReproError):
 
 
 class ExecutorError(ReproError):
-    """The process-parallel physical executor could not serve a request
-    (pool closed, worker handshake timeout, malformed dispatch)."""
+    """The worker pool could not serve a request (pool closed, worker
+    handshake timeout, or the task itself raised)."""
 
 
 class WorkerCrashed(ExecutorError):

@@ -15,7 +15,7 @@ from .distributed import DistributedRuntime
 from .local import LocalRuntime
 from .machines import Fabric, FleetState
 from .optimizer import JoinPlan, Optimizer
-from .parallel import ProcessExecutor, WorkerPool, run_partitions
+from .parallel import WorkerPool, run_partitions
 from .plan import LazyTable, PhysProps, PlanLog, PlanNode, Planner
 from .runtime import NEG_INF, POS_INF, Runtime, float_sort_key, pack_columns
 from .table import Table
@@ -36,7 +36,6 @@ __all__ = [
     "PlanLog",
     "PlanNode",
     "Planner",
-    "ProcessExecutor",
     "Runtime",
     "WorkerPool",
     "run_partitions",

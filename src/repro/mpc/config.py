@@ -53,21 +53,6 @@ class MPCConfig:
         the planner only changes *physical* execution (elided sorts,
         direct-address joins). ``False`` restores the eager engines —
         the baseline the differential suite and E14 compare against.
-    executor:
-        Physical execution substrate: ``"serial"`` runs every physical
-        kernel inline; ``"process"`` dispatches independent flushed
-        plan segments to the shared worker pool
-        (:mod:`repro.mpc.parallel`) over shared-memory column buffers.
-        Purely physical — rounds/words are charged at the logical call
-        site either way, so CostReports are bit-identical across
-        executors (asserted by the differential suite and E15).
-    executor_workers:
-        Worker-process count for ``executor="process"`` (``None`` =
-        one per CPU core, or ``REPRO_EXECUTOR_WORKERS``).
-    executor_min_rows:
-        Don't ship a plan segment to a worker below this many rows —
-        the shared-memory copy + queue hop outweighs the kernel.
-        Tests set 0 to force dispatch on small instances.
     """
 
     delta: float = 0.35
@@ -77,9 +62,6 @@ class MPCConfig:
     cost_mode: str = "unit"
     seed: int = 0x5EED
     planner: bool = True
-    executor: str = "serial"
-    executor_workers: int | None = None
-    executor_min_rows: int = 32768
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
@@ -90,14 +72,6 @@ class MPCConfig:
             raise ValidationError("min_machine_words must be at least 16")
         if self.global_slack < 1.0:
             raise ValidationError("global_slack must be >= 1")
-        if self.executor not in ("serial", "process"):
-            raise ValidationError(
-                f"executor must be 'serial' or 'process', got {self.executor!r}"
-            )
-        if self.executor_workers is not None and self.executor_workers < 1:
-            raise ValidationError("executor_workers must be >= 1")
-        if self.executor_min_rows < 0:
-            raise ValidationError("executor_min_rows must be >= 0")
 
     # -- derived deployment sizes -------------------------------------------------
 

@@ -61,12 +61,9 @@ class DistributedRuntime(Runtime):
     of a lookup fused with its producing reduce), but every protocol
     executes in full — the transport-round schedule is part of the
     engine's contract and must stay bit-identical, planned or eager.
-
-    ``MPCConfig(executor="process")`` is accepted but intra-plan
-    dispatch is a deliberate no-op here for the same reason (there is
-    no uncharged physical segment to ship); workload-level partitions
-    (:func:`repro.mpc.parallel.run_partitions`) still parallelise whole
-    record-mode pipelines across worker processes.
+    Workload-level partitions (:func:`repro.mpc.parallel.run_partitions`)
+    still parallelise whole record-mode pipelines across worker
+    processes.
     """
 
     def __init__(self, config: MPCConfig | None = None, total_words_hint: int = 4096):

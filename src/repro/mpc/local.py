@@ -19,13 +19,6 @@ miss; the eager path searches with
 per payload column in :meth:`LocalRuntime._exec_join`, and every sort
 permutation comes from :func:`~repro.mpc.kernels.stable_argsort`. So
 planned and eager outputs are bit-identical by construction.
-
-Because this engine declares the ``rewrite`` capability,
-``MPCConfig(executor="process")`` additionally routes flushed plan
-segments through the process-parallel executor
-(:mod:`~repro.mpc.parallel`): independent deferred sorts run in pool
-workers over shared-memory column buffers, with the elision decisions —
-and the charged cost stream — unchanged.
 """
 
 from __future__ import annotations

@@ -126,22 +126,12 @@ class Optimizer:
 
     # -- rule: elide-sort (used by deferred sort nodes) --------------------------
 
-    def sort_inputs(self, node) -> Tuple[dict, np.ndarray]:
-        """A deferred sort node's concrete input columns and key array.
-
-        Shared by the inline path and the process executor, so both
-        sort exactly the same arrays (bit-identical permutations).
-        """
-        table = self.planner.input_table(node.input)
-        cols = table._cols
+    def execute_sort(self, node) -> dict:
+        """Run (or elide) one deferred sort node; returns concrete cols."""
+        cols = self.planner.input_table(node.input)._cols
         key = node.packed_key
         if key is None:
             key = cols[node.key_col]
-        return cols, key
-
-    def execute_sort(self, node) -> dict:
-        """Run (or elide) one deferred sort node; returns concrete cols."""
-        cols, key = self.sort_inputs(node)
         if self.facts.ensure_sorted(key):
             node.status = "elided"
             node.physical = "identity"
@@ -159,36 +149,6 @@ class Optimizer:
             if in_facts.unique:
                 self.facts.mark(out_key, unique=True)
         return out
-
-    # -- rule: partition (embarrassingly-parallel plan segments) ------------------
-
-    def partition(self, pending, min_rows: int) -> list:
-        """The dispatchable subset of ``pending``: independent sort roots.
-
-        A deferred sort is its own plan partition — dispatchable to a
-        worker — when its input columns are already concrete (not an
-        unmaterialised LazyTable, so no pending ancestor orders before
-        it) and large enough (``min_rows``) that the shared-memory copy
-        is worth the kernel. Concrete input columns are immutable by the
-        runtime's contract, so any set of such roots is mutually
-        independent: they read disjoint-or-shared immutable data and
-        write only their own fresh outputs — embarrassingly parallel.
-        Derive nodes (free row algebra) and undersized sorts stay on the
-        serial FIFO drain.
-        """
-        from .plan import LazyTable  # local import: plan imports optimizer
-
-        roots = []
-        for node in pending:
-            if node.done or node.kind != "sort":
-                continue
-            inp = node.input
-            if isinstance(inp, LazyTable) and inp._cols is None:
-                continue
-            if (node.props.cardinality or 0) < min_rows:
-                continue
-            roots.append(node)
-        return roots
 
     # -- rule: group-order for reduce --------------------------------------------
 

@@ -1,8 +1,8 @@
-"""Process-parallel physical executor behind the planner (S21).
+"""The worker pool behind workload-level partitions and batch jobs (S21).
 
-The PR-5 planner/executor split charges every primitive's rounds and
-words at the *logical* call site, which frees *physical* execution to
-run anywhere — including other processes. This module is that "anywhere":
+The planner/executor split charges every primitive's rounds and words
+at the *logical* call site, which frees *physical* execution to run
+anywhere — including other processes. This module is that "anywhere":
 
 * :class:`WorkerPool` — a persistent pool of worker processes started
   from an **explicit** ``multiprocessing`` context (``forkserver`` by
@@ -19,16 +19,6 @@ run anywhere — including other processes. This module is that "anywhere":
   one ``multiprocessing.shared_memory`` segment (64-byte-aligned offsets,
   metadata shipped separately), so workers attach to the parent's
   buffers by name instead of pickling table payloads through pipes.
-* :class:`ProcessExecutor` — the planner hook. At a flush point the
-  optimizer's partition rule (:meth:`~repro.mpc.optimizer.Optimizer.
-  partition`) picks the pending deferred sort nodes that are mutually
-  independent (concrete inputs, immutable columns — embarrassingly
-  parallel segments); their argsort+permute work is dispatched to the
-  pool over shared memory while everything else drains in the usual
-  FIFO order. The *decision* layer (sort elision, fact registration,
-  status strings) stays in the parent, so planned outputs — and the
-  CostReport, which is charged at logical record time — are bit-identical
-  whether physical execution happened in-process or in a worker.
 * :func:`run_partitions` — the workload-level partition API: N
   independent verify/sensitivity plan partitions (one per instance, the
   "one worker per machine shard" topology of the pia-mpc exemplar run
@@ -38,10 +28,9 @@ run anywhere — including other processes. This module is that "anywhere":
   are bit-identical to serial execution of the same partition — the E15
   benchmark asserts this wholesale and gates the wall speedup.
 
-A worker crash during a dispatched segment falls back to inline
-execution in the parent (same kernels, bit-identical result), so
-``executor="process"`` degrades to ``"serial"`` under faults instead of
-failing the run.
+Inside one plan, physical execution is always the planner's serial FIFO
+drain in the calling process: each deferred sort is forced by the op
+that consumes it, so a plan has no independent segments worth shipping.
 """
 
 from __future__ import annotations
@@ -58,7 +47,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ExecutorError, ValidationError, WorkerCrashed
-from .kernels import stable_argsort
 
 __all__ = [
     "ShmBlock",
@@ -67,7 +55,6 @@ __all__ = [
     "copy_columns",
     "Outcome",
     "WorkerPool",
-    "ProcessExecutor",
     "run_partitions",
     "default_start_method",
     "get_pool",
@@ -77,7 +64,6 @@ __all__ = [
 #: Env override for the worker start method (CI runs the fault-isolation
 #: tests under both ``fork`` and ``forkserver``).
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
-WORKERS_ENV = "REPRO_EXECUTOR_WORKERS"
 
 _ALIGN = 64  # cache-line-aligned column offsets inside a block
 
@@ -109,13 +95,6 @@ def get_context():
     import multiprocessing as mp
 
     return mp.get_context(default_start_method())
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +167,13 @@ def attach_columns(block: ShmBlock
     return shm, cols
 
 
-def copy_columns(block: ShmBlock, *, unlink: bool = False
-                 ) -> Dict[str, np.ndarray]:
-    """Attach, copy every column out, detach (and optionally unlink)."""
+def copy_columns(block: ShmBlock) -> Dict[str, np.ndarray]:
+    """Attach, copy every column out, detach."""
     shm, views = attach_columns(block)
     try:
         return {name: np.array(arr, copy=True) for name, arr in views.items()}
     finally:
         shm.close()
-        if unlink:
-            shm.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -226,35 +202,12 @@ def _task_call(payload: Tuple[str, str, Any]) -> Any:
     return fn(arg)
 
 
-def _task_sort(payload: Dict) -> Dict:
-    """One dispatched physical sort: stable argsort + permute over shm.
-
-    The elision decision already happened in the parent (the key is
-    known unsorted), so this is pure mechanical work: the same
-    :func:`~repro.mpc.kernels.stable_argsort` the inline executor runs,
-    hence a bit-identical permutation.
-    """
-    block: ShmBlock = payload["block"]
-    key_name: str = payload["key"]
-    shm, cols = attach_columns(block)
-    try:
-        key = cols.pop("__key__") if "__key__" in cols else cols[key_name]
-        order = stable_argsort(key)
-        out = {name: arr[order] for name, arr in cols.items()}
-    finally:
-        shm.close()
-    out_shm, out_block = share_columns(out)
-    out_shm.close()
-    return {"block": out_block}
-
-
 def _task_pipeline(payload: Dict) -> Dict:
     """One workload partition: a full verify/sensitivity pipeline.
 
     The graph columns arrive via shared memory (every partition of the
     same instance attaches to the same buffer); the pipeline runs with
-    its own runtime and logical accounting, ``executor`` forced to
-    ``"serial"`` (workers never nest pools), and returns outputs plus
+    its own runtime and logical accounting, and returns outputs plus
     the full CostReport dict for wholesale bit-identity assertions.
     """
     from ..graph.graph import WeightedGraph
@@ -262,7 +215,7 @@ def _task_pipeline(payload: Dict) -> Dict:
     cols = copy_columns(payload["block"])
     graph = WeightedGraph(n=payload["n"], u=cols["u"], v=cols["v"],
                           w=cols["w"], tree_mask=cols["tree_mask"])
-    config = payload["config"].with_(executor="serial")
+    config = payload["config"]
     kind = payload["kind"]
     engine = payload["engine"]
     if kind == "verify":
@@ -295,7 +248,6 @@ _TASK_KINDS = {
     "ping": _task_ping,
     "crash": _task_crash,
     "call": _task_call,
-    "sort": _task_sort,
     "pipeline": _task_pipeline,
 }
 
@@ -538,7 +490,7 @@ class WorkerPool:
             self._spawn(slot)  # replaces the dead slot's pipe too
 
 
-# -- module-level shared pool (the executor, batch and benches share it) --------
+# -- module-level shared pool (partitions, batch and benches share it) ----------
 
 _POOL: Optional[WorkerPool] = None
 
@@ -554,7 +506,7 @@ def get_pool(min_workers: Optional[int] = None) -> WorkerPool:
     if _POOL is not None and (_POOL.closed or _POOL.method != method):
         shutdown_pool()
     if _POOL is None:
-        _POOL = WorkerPool(max(1, min_workers or _default_workers()),
+        _POOL = WorkerPool(max(1, min_workers or os.cpu_count() or 1),
                            method=method)
     elif min_workers and _POOL.workers < min_workers:
         _POOL.grow(min_workers)
@@ -570,114 +522,6 @@ def shutdown_pool() -> None:
 
 
 atexit.register(shutdown_pool)
-
-
-# ---------------------------------------------------------------------------
-# the planner-facing executor
-# ---------------------------------------------------------------------------
-
-
-class ProcessExecutor:
-    """Executes flushed physical plan segments on the worker pool.
-
-    Attached to a :class:`~repro.mpc.plan.Planner` when
-    ``MPCConfig(executor="process")`` and the engine declares the
-    ``rewrite`` capability. At each flush point the optimizer's
-    partition rule selects the independent deferred sorts worth
-    shipping (``>= config.executor_min_rows`` rows); the parent decides
-    elision from (memoised) facts exactly as the inline path does, so
-    only mechanical argsort+permute work crosses the process boundary
-    and every status/fact/CostReport observable stays bit-identical.
-    """
-
-    def __init__(self, planner, config):
-        self.planner = planner
-        self.min_rows = int(config.executor_min_rows)
-        self.requested_workers = config.executor_workers
-        self.dispatched = 0
-        self.inline_fallbacks = 0
-
-    def pool(self) -> WorkerPool:
-        return get_pool(self.requested_workers)
-
-    # -- the partition-aware flush point ----------------------------------------
-
-    def flush_pending(self, pending: List) -> None:
-        planner = self.planner
-        opt = planner.opt
-        tickets: Dict[int, Tuple] = {}   # node id -> (ticket, shm, meta)
-        pool = None
-
-        def dispatch_ready() -> None:
-            # ship every pending sort whose input is concrete *now*;
-            # called again after each drained node because forcing a
-            # node materialises downstream sort inputs (pipelines chain
-            # sorts through intermediate ops, so eligibility arrives
-            # incrementally, not all at the flush point)
-            nonlocal pool
-            for node in opt.partition(pending, self.min_rows):
-                if id(node) in tickets:
-                    continue
-                cols, key = opt.sort_inputs(node)
-                if opt.facts.ensure_sorted(key):
-                    # elide: the FIFO drain below completes it inline
-                    # for free (the fact is memoised — no second scan)
-                    continue
-                if pool is None:
-                    pool = self.pool()
-                payload_cols = dict(cols)
-                key_name = node.key_col
-                if node.packed_key is not None:
-                    payload_cols["__key__"] = key
-                    key_name = "__key__"
-                shm, block = share_columns(payload_cols)
-                t0 = time.perf_counter()
-                ticket = pool.submit("sort",
-                                     {"block": block, "key": key_name})
-                in_unique = bool(opt.facts.get(key).unique)
-                tickets[id(node)] = (ticket, shm, in_unique, t0)
-                self.dispatched += 1
-
-        dispatch_ready()
-        # FIFO drain, exactly like the serial flush — dispatched nodes
-        # install their worker results in plan order (pending is in
-        # creation = topological order, so a sort is always installed
-        # before anything depending on it is forced)
-        while pending:
-            node = pending.pop(0)
-            if node.done:
-                continue
-            entry = tickets.pop(id(node), None)
-            if entry is None:
-                planner.force(node)
-            else:
-                self._install(node, *entry)
-            if pending:
-                dispatch_ready()
-
-    def _install(self, node, ticket: int, shm, in_unique: bool,
-                 t0: float) -> None:
-        planner = self.planner
-        outcome = self.pool().wait([ticket])[0]
-        shm.close()
-        shm.unlink()
-        if not outcome.ok:
-            # fault isolation: a crashed/failed worker never fails the
-            # run — re-execute the segment inline (bit-identical kernels)
-            self.inline_fallbacks += 1
-            planner.force(node)
-            return
-        out_cols = copy_columns(outcome.value["block"], unlink=True)
-        node.status = "executed"
-        node.physical = "argsort-permute"
-        node.note = "dispatched to worker pool"
-        if node.key_col is not None:
-            out_key = out_cols[node.key_col]
-            planner.facts.mark(out_key, sorted=True)
-            if in_unique:
-                planner.facts.mark(out_key, unique=True)
-        planner.rt.tracker.record_wall("sort", time.perf_counter() - t0)
-        planner.complete_node(node, out_cols)
 
 
 # ---------------------------------------------------------------------------

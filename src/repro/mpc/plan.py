@@ -396,10 +396,6 @@ class Planner:
         self.facts = FactRegistry()
         self.rewrite = "rewrite" in rt.plan_capabilities
         self.opt = Optimizer(self)
-        #: Optional process-parallel executor (:mod:`.parallel`); when
-        #: attached, :meth:`flush` hands the pending queue to it so
-        #: independent plan partitions dispatch to the worker pool.
-        self.executor = None
         self._pending: List[PlanNode] = []
         self._next_id = 0
         # table identity -> (props, keepalive-check weakref)
@@ -449,16 +445,8 @@ class Planner:
     # -- flush points ----------------------------------------------------------
 
     def flush(self) -> None:
-        """Execute every pending deferred node (phase exits, reports).
-
-        This is the partition-aware flush point: with a process
-        executor attached, the pending queue is handed over wholesale so
-        independent segments dispatch to the worker pool; the serial
-        path (and the executor's own drain) preserves FIFO order.
-        """
-        if self.executor is not None and self._pending:
-            self.executor.flush_pending(self._pending)
-            return
+        """Execute every pending deferred node in FIFO order (phase
+        exits, reports)."""
         while self._pending:
             node = self._pending.pop(0)
             if not node.done:
@@ -489,11 +477,6 @@ class Planner:
             self.rt.tracker.record_wall("sort", time.perf_counter() - t0)
         else:  # pragma: no cover - op nodes execute at record time
             raise ValidationError(f"cannot force node kind {node.kind!r}")
-        return self.complete_node(node, cols)
-
-    def complete_node(self, node: PlanNode,
-                      cols: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Install executed columns on a node (inline or worker-produced)."""
         node.done = True
         node.input = None
         node.packed_key = None

@@ -208,16 +208,6 @@ class Runtime(ABC):
             from .plan import Planner
 
             self._planner = Planner(self)
-            if (self.config.executor == "process"
-                    and "rewrite" in self.plan_capabilities):
-                # process dispatch needs the executor split (_exec_*):
-                # record-mode engines run their full message-level
-                # protocol per node — the transport schedule is the
-                # physical truth there, so there is nothing to ship
-                from .parallel import ProcessExecutor
-
-                self._planner.executor = ProcessExecutor(self._planner,
-                                                         self.config)
         else:
             self._planner = None
 

@@ -49,9 +49,9 @@ __all__ = [
 
 #: Runtime/engine facts folded into *every* stage key: they change what
 #: a stage charges (and, for the distributed engine, how it transports).
-#: Physical-only knobs (``planner``, ``executor*``) are deliberately
-#: absent — they cannot change a stage's outputs or its CostReport, so
-#: cached results stay valid across them.
+#: The physical-only ``planner`` knob is deliberately absent — it
+#: cannot change a stage's outputs or its CostReport, so cached results
+#: stay valid across it.
 GLOBAL_KEY_FIELDS = (
     "engine", "cost_mode", "delta", "seed",
     "capacity_constant", "min_machine_words", "global_slack",

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from ..errors import ValidationError
+from .supervision import STOP_DEADLINE_S
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .router import RouterTier
@@ -127,14 +128,15 @@ class ChaosInjector:
         self._task = asyncio.get_running_loop().create_task(
             self._run(router))
 
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+    async def stop(self) -> bool:
+        """Cancel the plan; ``False`` if its task was still running
+        :data:`STOP_DEADLINE_S` after the cancel."""
+        task, self._task = self._task, None
+        if task is None:
+            return True
+        task.cancel()
+        _, late = await asyncio.wait({task}, timeout=STOP_DEADLINE_S)
+        return not late
 
     async def _run(self, router: "RouterTier") -> None:
         t0 = time.perf_counter()

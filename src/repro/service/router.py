@@ -222,16 +222,26 @@ class BinaryWorkerLink:
         return wire.decode_escape(raw)
 
     async def close(self) -> None:
+        """Stop reading, then close the socket. Each wait is bounded by
+        :data:`STOP_DEADLINE_S`; a socket that cannot flush (a peer that
+        stopped reading) is aborted instead of awaited."""
         self._task.cancel()
-        try:
-            await self._task
-        except asyncio.CancelledError:
-            pass
+        await asyncio.wait({self._task}, timeout=STOP_DEADLINE_S)
         self._writer.close()
         try:
-            await self._writer.wait_closed()
+            await asyncio.wait_for(self._writer.wait_closed(),
+                                   STOP_DEADLINE_S)
+        except asyncio.TimeoutError:
+            self._writer.transport.abort()
         except (ConnectionError, OSError):
             pass
+
+
+async def _joined(proc, timeout_s: float) -> bool:
+    """Join ``proc`` for at most ``timeout_s``; has it exited?"""
+    await asyncio.get_running_loop().run_in_executor(None, proc.join,
+                                                     timeout_s)
+    return not proc.is_alive()
 
 
 @dataclass
@@ -406,7 +416,9 @@ class RouterTier(FrontDoor):
         try:
             port = await self._await_ready(w.worker_id, boot, deadline)
             fresh = await self._connect_worker(w.worker_id, proc, boot, port)
-        except ServiceError:
+        except BaseException:
+            # a failed boot, or a stop() cancelling the respawn: the new
+            # process is nobody's yet, so it must not outlive this call
             boot.close()
             if proc.is_alive():
                 proc.terminate()
@@ -437,14 +449,15 @@ class RouterTier(FrontDoor):
         """Shut the whole tree down: door, pollers, workers, spool.
 
         Returns ``{"missed_deadline": [...]}``: background tasks still
-        running ``STOP_DEADLINE_S`` after their cancel.
+        running ``STOP_DEADLINE_S`` after their cancel, and workers that
+        had to be terminated or killed (``worker:<id>``).
         """
         if self._stopped:
             return {"missed_deadline": []}
         self._stopped = True
-        for injector in self._injectors:
-            await injector.stop()
-        missed = await self.supervisor.stop()
+        missed = [f"chaos:{k}" for k, injector in enumerate(self._injectors)
+                  if not await injector.stop()]
+        missed += await self.supervisor.stop()
         await self._close_door()
         pollers = {w.worker_id: w.poller for w in self.workers.values()
                    if w.poller is not None}
@@ -457,25 +470,37 @@ class RouterTier(FrontDoor):
                        if t in late]
         for w in self.workers.values():
             w.poller = None
-        loop = asyncio.get_running_loop()
-        for w in self.workers.values():
-            try:
-                await w.control.request({"op": "shutdown"}, timeout_s=10.0)
-            except (ServiceError, asyncio.TimeoutError):
-                pass
-            for link in w.all_links():
-                await link.close()
-        for w in self.workers.values():
-            await loop.run_in_executor(None, w.proc.join, 10.0)
-            if w.proc.is_alive():  # pragma: no cover - stuck worker
-                w.proc.terminate()
-                await loop.run_in_executor(None, w.proc.join, 5.0)
-            w.boot.close()
+        for late in await asyncio.gather(
+                *(self._stop_worker(w) for w in self.workers.values())):
+            missed += late
         if self._own_spool is not None:
             self._own_spool.cleanup()
             self._own_spool = None
         self._shutdown.set()
         return {"missed_deadline": missed}
+
+    async def _stop_worker(self, w: _Worker) -> List[str]:
+        """Ask one worker to exit; terminate it, then kill it, if it does
+        not. Every wait is bounded by :data:`STOP_DEADLINE_S` — the join
+        after the request by twice that, so the worker's own bounded
+        stop fits — so a wedged or stopped process cannot hold the
+        router's stop. Returns ``["worker:<id>"]`` if it was not joined
+        in time."""
+        try:
+            await w.control.request({"op": "shutdown"},
+                                    timeout_s=STOP_DEADLINE_S)
+        except (ServiceError, asyncio.TimeoutError):
+            pass
+        await asyncio.gather(*(link.close() for link in w.all_links()))
+        late = []
+        if not await _joined(w.proc, 2 * STOP_DEADLINE_S):
+            late.append(f"worker:{w.worker_id}")
+            w.proc.terminate()
+            if not await _joined(w.proc, STOP_DEADLINE_S):
+                w.proc.kill()  # SIGTERM stays pending on a stopped process
+                await _joined(w.proc, STOP_DEADLINE_S)
+        w.boot.close()
+        return late
 
     # -- instance placement ----------------------------------------------------
 

@@ -1,12 +1,11 @@
-"""Process-parallel executor: pool fault isolation, shm blocks, and the
-``executor="process"`` vs serial differential sweep.
+"""The worker pool: fault isolation, shm blocks, workload partitions.
 
-The executor is a *physical* knob: every observable — outputs, plan
-statuses, and the full :class:`CostReport` dict (rounds, per-phase
-paths, primitive counts, peaks, transport rounds) — must be
-bit-identical to serial execution, across both engines and all instance
-families. Crash tests exercise the pool's claim-slot attribution and
-the executor's inline fallback: one dying worker never fails a run.
+Partitions are a *physical* choice: every observable — outputs and the
+full :class:`CostReport` dict (rounds, per-phase paths, primitive
+counts, peaks, transport rounds) — must be bit-identical to serial
+execution of the same instance, on both engines. Crash tests exercise
+the pool's claim-slot attribution: one dying worker never takes down
+the pool or its sibling tasks' results.
 """
 
 import asyncio
@@ -17,9 +16,8 @@ import pytest
 from repro.core.sensitivity import mst_sensitivity
 from repro.core.verification import verify_mst
 from repro.errors import ValidationError
-from repro.graph.generators import TREE_SHAPES, known_mst_instance, \
-    perturb_break_mst
-from repro.mpc import LocalRuntime, MPCConfig, Table
+from repro.graph.generators import known_mst_instance, perturb_break_mst
+from repro.mpc import MPCConfig
 from repro.mpc import parallel
 from repro.mpc.parallel import (
     ShmBlock,
@@ -42,16 +40,7 @@ def pool():
     yield p
 
 
-#: Force dispatch on small test instances (the default 32768-row floor
-#: would keep everything inline at these sizes).
-PROC = MPCConfig(executor="process", executor_min_rows=0)
-SER = MPCConfig()
-PROC_DIST = MPCConfig(delta=0.6, executor="process", executor_min_rows=0)
 SER_DIST = MPCConfig(delta=0.6)
-
-
-def _configs(engine):
-    return (PROC_DIST, SER_DIST) if engine == "distributed" else (PROC, SER)
 
 
 # -- shared-memory column blocks -----------------------------------------------
@@ -168,129 +157,6 @@ class TestWorkerPool:
 
         with pytest.raises(ExecutorError):
             p.submit("ping", 1)
-
-
-# -- planner dispatch ----------------------------------------------------------
-
-
-class TestExecutorDispatch:
-    def test_sort_results_installed_bit_identical(self, pool):
-        rt = LocalRuntime(PROC)
-        k = np.array([5, 1, 4, 1, 3], dtype=np.int64)
-        v = np.array([0.5, 0.1, 0.4, 0.15, 0.3])
-        out = rt.sort(Table(k=k, v=v), ("k",))
-        rt.flush_plan()
-        order = np.argsort(k, kind="stable")
-        np.testing.assert_array_equal(out.col("k"), k[order])
-        np.testing.assert_array_equal(out.col("v"), v[order])
-        assert rt.planner.executor.dispatched == 1
-        assert out.plan_node.status == "executed"
-        assert out.plan_node.physical == "argsort-permute"
-
-    def test_elision_still_decided_in_parent(self, pool):
-        rt = LocalRuntime(PROC)
-        t = Table(k=np.arange(64, dtype=np.int64))
-        out = rt.sort(t, ("k",))
-        rt.flush_plan()
-        assert out.plan_node.status == "elided"
-        assert rt.planner.executor.dispatched == 0
-
-    def test_min_rows_keeps_small_sorts_inline(self, pool):
-        rt = LocalRuntime(MPCConfig(executor="process",
-                                    executor_min_rows=1000))
-        out = rt.sort(Table(k=np.array([2, 1], dtype=np.int64)), ("k",))
-        rt.flush_plan()
-        np.testing.assert_array_equal(out.col("k"), [1, 2])
-        assert rt.planner.executor.dispatched == 0
-
-    def test_composite_key_sorts_dispatch(self, pool):
-        rt = LocalRuntime(PROC)
-        a = np.array([1, 0, 1, 0], dtype=np.int64)
-        b = np.array([0, 1, 1, 0], dtype=np.int64)
-        out = rt.sort(Table(a=a, b=b), ("a", "b"))
-        rt.flush_plan()
-        np.testing.assert_array_equal(out.col("a"), [0, 0, 1, 1])
-        np.testing.assert_array_equal(out.col("b"), [0, 1, 0, 1])
-        assert rt.planner.executor.dispatched == 1
-
-    def test_worker_crash_falls_back_inline(self, pool, monkeypatch):
-        """Kill a worker mid-plan: the sabotaged segment re-executes
-        inline (bit-identical kernels), the crash is counted, and the
-        pool survives for the remaining dispatches."""
-        orig = WorkerPool.submit
-        hit = {"n": 0}
-
-        def sabotage(self, kind, payload):
-            if kind == "sort" and hit["n"] == 0:
-                hit["n"] += 1
-                return orig(self, "crash", 5)
-            return orig(self, kind, payload)
-
-        monkeypatch.setattr(WorkerPool, "submit", sabotage)
-        before = pool.crashes
-        rt = LocalRuntime(PROC)
-        rng = np.random.default_rng(0)
-        tables = [Table(k=rng.integers(0, 1000, size=256),
-                        v=rng.standard_normal(256)) for _ in range(3)]
-        outs = [rt.sort(t, ("k",)) for t in tables]
-        rt.flush_plan()
-        monkeypatch.undo()
-        for t, out in zip(tables, outs):
-            order = np.argsort(t.col("k"), kind="stable")
-            np.testing.assert_array_equal(out.col("k"), t.col("k")[order])
-            np.testing.assert_array_equal(out.col("v"), t.col("v")[order])
-        assert rt.planner.executor.dispatched == 3
-        assert rt.planner.executor.inline_fallbacks == 1
-        assert pool.crashes > before
-        assert pool.wait([pool.submit("ping", 1)])[0].ok
-
-    def test_serial_config_never_touches_pool(self):
-        rt = LocalRuntime(SER)
-        assert rt.planner.executor is None
-
-    def test_record_mode_engine_gets_no_executor(self):
-        from repro.mpc import DistributedRuntime
-
-        rt = DistributedRuntime(PROC_DIST)
-        assert rt.planner.executor is None  # transport is physical truth
-
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValidationError):
-            MPCConfig(executor="threads")
-        with pytest.raises(ValidationError):
-            MPCConfig(executor="process", executor_workers=0)
-
-
-# -- the differential sweep: process vs serial, both engines -------------------
-
-
-@pytest.mark.parametrize("engine", ("local", "distributed"))
-@pytest.mark.parametrize("n", (512, 1024))
-@pytest.mark.parametrize("shape", TREE_SHAPES)
-def test_executor_bit_identical_sensitivity(engine, n, shape, pool):
-    g, _ = known_mst_instance(shape, n, extra_m=2 * n, rng=n + len(shape))
-    proc_cfg, ser_cfg = _configs(engine)
-    sp = mst_sensitivity(g, engine=engine, config=proc_cfg)
-    ss = mst_sensitivity(g, engine=engine, config=ser_cfg)
-    np.testing.assert_array_equal(sp.sensitivity, ss.sensitivity)
-    np.testing.assert_array_equal(sp.mc, ss.mc)
-    np.testing.assert_array_equal(sp.pathmax, ss.pathmax)
-    assert sp.report.to_dict() == ss.report.to_dict()
-
-
-@pytest.mark.parametrize("engine", ("local", "distributed"))
-@pytest.mark.parametrize("n", (512, 1024))
-@pytest.mark.parametrize("shape", TREE_SHAPES)
-def test_executor_bit_identical_verification(engine, n, shape, pool):
-    g, _ = known_mst_instance(shape, n, extra_m=2 * n, rng=3 * n)
-    g = perturb_break_mst(g, rng=n + 1)
-    proc_cfg, ser_cfg = _configs(engine)
-    rp = verify_mst(g, engine=engine, config=proc_cfg)
-    rs = verify_mst(g, engine=engine, config=ser_cfg)
-    assert rp.is_mst == rs.is_mst
-    np.testing.assert_array_equal(rp.violating_edges, rs.violating_edges)
-    np.testing.assert_array_equal(rp.pathmax, rs.pathmax)
-    assert rp.report.to_dict() == rs.report.to_dict()
 
 
 # -- workload-level partitions -------------------------------------------------

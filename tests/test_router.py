@@ -13,6 +13,8 @@ client disconnect errors — runs in-process.
 
 import asyncio
 import os
+import signal
+import socket
 import tempfile
 import time
 
@@ -34,6 +36,8 @@ from repro.service import (
 )
 from repro.service.loadgen import make_plan, run_tcp
 from repro.service.metrics import LatencyReservoir
+from repro.service.router import BinaryWorkerLink
+from repro.service.supervision import STOP_DEADLINE_S
 
 
 def run(coro):
@@ -357,6 +361,56 @@ class TestRouterShutdown:
                 assert took < self.STOP_BUDGET_S, (i, took)
 
         run(scenario())
+
+    def test_stop_kills_a_stopped_worker(self):
+        """A SIGSTOPped worker answers no shutdown request and leaves
+        SIGTERM pending; stop() still returns within its bound, names
+        the worker, and ends it with SIGKILL."""
+        async def scenario():
+            rt = RouterTier(RouterConfig(workers=2, replication=2, shards=2,
+                                         supervise=False))
+            await rt.start()
+            victim = rt.workers[1].proc
+            try:
+                os.kill(victim.pid, signal.SIGSTOP)
+                t0 = time.perf_counter()
+                report = await rt.stop()
+                return report, time.perf_counter() - t0, victim.is_alive()
+            finally:
+                if victim.exitcode is None:  # not reaped: the pid is ours
+                    os.kill(victim.pid, signal.SIGKILL)
+                await rt.stop()
+
+        report, took, alive = run(scenario())
+        assert report == {"missed_deadline": ["worker:1"]}
+        assert took < 15.0, took
+        assert not alive
+
+
+class TestLinkClose:
+    def test_close_aborts_a_peer_that_never_reads(self):
+        """32 MB queued toward a peer that accepted the connection but
+        never reads can never flush: close() gives up on the flush
+        within its bound instead of waiting for it forever."""
+        async def scenario():
+            server = socket.create_server(("127.0.0.1", 0))
+            peer = None
+            try:
+                reader, writer = await asyncio.open_connection(
+                    *server.getsockname())
+                peer, _ = server.accept()  # held open, never read
+                link = BinaryWorkerLink(reader, writer)
+                writer.write(bytes(32 << 20))
+                t0 = time.perf_counter()
+                await asyncio.wait_for(link.close(), 10.0)
+                return time.perf_counter() - t0
+            finally:
+                if peer is not None:
+                    peer.close()
+                server.close()
+
+        took = run(scenario())
+        assert took < 2 * STOP_DEADLINE_S + 1.0, took
 
 
 class _SetPingService(SensitivityService):

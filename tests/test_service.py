@@ -35,7 +35,7 @@ from repro.service import (
     plan_shards,
     route,
 )
-from repro.service.loadgen import make_plan, run_inprocess
+from repro.service.loadgen import make_plan, run_inprocess, run_tcp
 
 
 def run(coro):
@@ -631,6 +631,36 @@ class TestTcpFrontDoor:
         assert not bad["ok"]
         assert not garbled["ok"] and "bad request" in garbled["error"]
         assert bye == {"ok": True, "result": "bye"}
+
+
+class TestStopCycles:
+    STOP_BUDGET_S = 5.0
+
+    def test_stop_is_bounded_after_every_storm(self):
+        """start → a storm through both doors → stop, 20 times: every
+        stop stays within its budget and names no straggler."""
+        g = make_graph(n=120, seed=41)
+        oracle = build_oracle(g)
+
+        async def scenario():
+            for i in range(20):
+                svc = SensitivityService(ServiceConfig(shards=2, port=0))
+                svc.add_instance("default", g, oracle=oracle)
+                await svc.start(serve_tcp=True)
+                host, port = svc.tcp_address
+                plan = make_plan({"default": g.m}, 1000, seed=i)
+                storms = await asyncio.gather(*(
+                    run_tcp(host, port, plan, clients=2, pipeline=16,
+                            wire_mode=mode) for mode in ("json", "binary")))
+                assert [(s.answered, s.errors) for s in storms] == \
+                    [(1000, 0)] * 2, i
+                t0 = time.perf_counter()
+                report = await svc.stop()
+                took = time.perf_counter() - t0
+                assert report == {"missed_deadline": []}, (i, report)
+                assert took < self.STOP_BUDGET_S, (i, took)
+
+        run(scenario())
 
 
 class TestMmapSharing:

@@ -36,6 +36,7 @@ from repro.errors import ValidationError
 from repro.graph.generators import known_mst_instance
 from repro.oracle import build_oracle
 from repro.service import (
+    ChaosInjector,
     ChaosPlan,
     GenerationLedger,
     InstanceUpdater,
@@ -43,6 +44,7 @@ from repro.service import (
     RouterConfig,
     RouterTier,
 )
+from repro.service import chaos
 
 
 def run(coro):
@@ -153,6 +155,100 @@ class TestChaosPlan:
     def test_bad_tokens_raise_with_the_grammar(self, bad):
         with pytest.raises(ValidationError):
             ChaosPlan.parse(bad)
+
+
+class TestChaosStop:
+    #: One chaos cycle costs about 0.35 s on a 2-vCPU host, so these
+    #: take about 8 s.
+    CHAOS_CYCLES = 22
+
+    def test_a_plan_ignoring_its_cancel_is_named_not_awaited(
+            self, monkeypatch):
+        """An injector task that swallows its cancel cannot hold the
+        router's stop: the wait is bounded and the straggler named."""
+        monkeypatch.setattr(chaos, "STOP_DEADLINE_S", 0.05)
+
+        async def stubborn():
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                pass  # swallow the first cancel
+            await asyncio.sleep(3600)
+
+        async def scenario():
+            rt = RouterTier(RouterConfig(workers=1))
+            injector = ChaosInjector(ChaosPlan.parse("kill:0@1"))
+            injector._task = task = asyncio.get_running_loop().create_task(
+                stubborn())
+            rt._injectors.append(injector)
+            await asyncio.sleep(0)
+            try:
+                t0 = time.perf_counter()
+                report = await asyncio.wait_for(rt.stop(), 5.0)
+                return report, time.perf_counter() - t0
+            finally:
+                task.cancel()
+
+        report, took = run(scenario())
+        assert report == {"missed_deadline": ["chaos:0"]}
+        assert took < 1.0, took
+
+    def test_stop_while_a_respawn_is_in_flight(self, monkeypatch):
+        """start → storm → chaos kill → stop() issued the moment the
+        respawned process is launched: every cycle stops within its
+        bound, names nothing, and leaves no process running — the
+        half-booted replacement included."""
+        launched, respawned = [], []
+        launch = RouterTier._launch_worker
+
+        def recording(self, wid):
+            proc, boot = launch(self, wid)
+            launched.append(proc)
+            if self.started_at is not None:  # a respawn, not the boot
+                respawned.append(proc)
+            return proc, boot
+
+        monkeypatch.setattr(RouterTier, "_launch_worker", recording)
+        g = make_graph(n=60)
+        oracle = build_oracle(g)
+
+        async def cycle():
+            rt = RouterTier(RouterConfig(
+                workers=2, replication=2, shards=2, heartbeat_s=0.05,
+                restart_backoff_s=0.01, read_retry_deadline_s=30.0))
+            await rt.start()
+            try:
+                await rt.add_instance("default", g, oracle=oracle)
+                rt.arm_chaos(ChaosPlan.parse("kill:1@0.05"))
+                failures = []
+                before = len(respawned)
+                deadline = time.perf_counter() + 30.0
+                while len(respawned) == before:
+                    assert time.perf_counter() < deadline, "no respawn"
+                    for e in range(0, g.m, 5):
+                        r = await rt.handle_request(
+                            {"op": "sensitivity", "edge": e})
+                        if not r.get("ok"):
+                            failures.append(r)
+                    await asyncio.sleep(0)
+                assert failures == []
+                restarts = rt.supervisor.metrics.restarts
+            finally:
+                t0 = time.perf_counter()
+                report = await rt.stop()
+                took = time.perf_counter() - t0
+            return report, took, restarts
+
+        async def scenario():
+            return [await cycle() for _ in range(self.CHAOS_CYCLES)]
+
+        for i, (report, took, restarts) in enumerate(run(scenario())):
+            assert report == {"missed_deadline": []}, (i, report)
+            assert took < 5.0, (i, took)
+            assert restarts == 0, i  # the stop beat the respawn
+        for proc in launched:
+            proc.join(5.0)
+            assert proc.exitcode is not None, proc
 
 
 class TestSelfHealing:
