@@ -65,6 +65,11 @@ __all__ = [
 #: tests under both ``fork`` and ``forkserver``).
 START_METHOD_ENV = "REPRO_MP_START_METHOD"
 
+#: How long ``WorkerPool.close()`` waits, shared by all workers, for
+#: them to take their stop message before it terminates (1 s) and then
+#: kills (1 s more) whichever are left.
+CLOSE_DEADLINE_S = 5.0
+
 _ALIGN = 64  # cache-line-aligned column offsets inside a block
 
 
@@ -314,6 +319,14 @@ class Outcome:
         raise ExecutorError(self.error or "task failed")
 
 
+def _join_all(procs: Sequence, timeout_s: float) -> List:
+    """Join ``procs`` under one shared deadline; the ones still alive."""
+    deadline = time.monotonic() + timeout_s
+    for p in procs:
+        p.join(timeout=max(0.0, deadline - time.monotonic()))
+    return [p for p in procs if p.is_alive()]
+
+
 class WorkerPool:
     """Persistent worker processes with crash isolation and respawn.
 
@@ -380,17 +393,23 @@ class WorkerPool:
             self._spawn(slot)
 
     def close(self) -> None:
+        """Stop every worker within a bounded time: a stop message and
+        one shared join deadline, then terminate, then kill. A wedged or
+        stopped worker (SIGTERM stays pending on a stopped process)
+        cannot outlive the pool or hold ``close()`` past
+        :data:`CLOSE_DEADLINE_S` + 2 s."""
         if self.closed:
             return
         self.closed = True
         for _ in self._procs:
             self._task_q.put(("stop",))
-        for p in self._procs:
-            p.join(timeout=5)
-        for p in self._procs:
-            if p.is_alive():  # pragma: no cover - stuck worker
-                p.terminate()
-                p.join(timeout=1)
+        late = _join_all(self._procs, CLOSE_DEADLINE_S)
+        for p in late:
+            p.terminate()
+        late = _join_all(late, 1.0)
+        for p in late:
+            p.kill()
+        _join_all(late, 1.0)
         self._task_q.close()
         for r in self._readers:
             r.close()

@@ -205,6 +205,8 @@ class RouterMetrics:
 
     ``forwarded`` counts queries relayed to a worker; ``replica_hits``
     the subset served by a non-primary replica (read fan-out working);
+    ``reads_steered`` the reads sent past the round-robin's turn
+    because that worker had generation work in flight;
     ``shed_router`` requests refused *at the router* because the target
     worker's reported queue depth crossed the shed watermark — the
     backpressure propagation path; ``swaps_shipped`` generation swaps
@@ -215,6 +217,7 @@ class RouterMetrics:
     def __init__(self, reservoir: int = 8192):
         self.forwarded = 0
         self.replica_hits = 0
+        self.reads_steered = 0
         self.shed_router = 0
         self.updates = 0
         self.swaps_shipped = 0
@@ -228,6 +231,7 @@ class RouterMetrics:
         return {
             "forwarded": self.forwarded,
             "replica_hits": self.replica_hits,
+            "reads_steered": self.reads_steered,
             "shed_router": self.shed_router,
             "updates": self.updates,
             "swaps_shipped": self.swaps_shipped,

@@ -12,7 +12,9 @@ state:
 * **placement** — rendezvous hashing (:mod:`repro.service.placement`)
   maps each instance to a primary worker plus ``replication - 1``
   replicas. Reads fan out round-robin across the replica set (hot
-  instances use the whole set); writes always go to the primary.
+  instances use the whole set), steering around a worker that is
+  rebuilding, loading or patching a generation; writes always go to
+  the primary.
 * **snapshot shipping** — an instance is introduced to its workers by
   ``adopt``: the router publishes one digest-addressed, uncompressed
   ``.npz`` snapshot and every replica memory-maps the same page-cached
@@ -53,6 +55,7 @@ import os
 import tempfile
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -260,6 +263,7 @@ class _Worker:
     wire_version: int = 0            #: symbols dictated to this process
     up: bool = True                  #: in rotation (supervisor-managed)
     stale: set = field(default_factory=set)  #: instances pending resync
+    generation_work: int = 0         #: generation requests in flight
     chaos_delay_s: float = 0.0       #: injected read latency (chaos)
     poller: Optional[asyncio.Task] = None
 
@@ -619,28 +623,68 @@ class RouterTier(FrontDoor):
 
     def _pick_worker(self, placed: _Placed) -> Optional[_Worker]:
         """Round-robin over the replica set, skipping saturated, dead,
-        and stale workers.
+        and stale workers, and steering around generation work.
 
         A worker whose query links are down, that the supervisor took
         out of rotation, or that is stale for this instance is never a
-        candidate — its last depth report is meaningless. Returns
+        candidate — its last depth report is meaningless. Among the
+        rest, the first in round-robin order with no generation work in
+        flight wins; only when every candidate has some does the first
+        of them take the read, as if nothing were marked. Returns
         ``None`` when no replica can take the read.
+
+        A rebuild, swap or patch queues reads behind it in its worker,
+        so steering takes that wait off the read path. While the idle
+        worker is unsaturated it also keeps one reader's generations in
+        order across a write: the old replica answers while the primary
+        rebuilds, the swapped primary while the replica adopts. If the
+        idle worker is saturated the read falls back to the busy one,
+        which during a swap still serves the older generation.
         """
         n = len(placed.replicas)
-        for _ in range(n):
-            placed.rr += 1
-            wid = placed.replicas[placed.rr % n]
-            w = self.workers.get(wid)
+        pick = busy = None
+        for k in range(1, n + 1):
+            w = self.workers.get(placed.replicas[(placed.rr + k) % n])
             if w is None or not w.routable(placed.name):
                 continue
             info = w.depth.get(placed.name)
             if info is not None and \
                     info.get("fraction", 0.0) >= self.config.shed_watermark:
                 continue
-            if wid != placed.replicas[0]:
-                self.metrics.replica_hits += 1
-            return w
-        return None
+            if w.generation_work:
+                busy = busy or (k, w)
+                continue
+            if busy is not None:
+                self.metrics.reads_steered += 1
+            pick = (k, w)
+            break
+        pick = pick or busy
+        if pick is None:
+            return None
+        k, w = pick
+        placed.rr += k
+        if w.worker_id != placed.replicas[0]:
+            self.metrics.replica_hits += 1
+        return w
+
+    @staticmethod
+    @contextmanager
+    def _generation_work(*workers: _Worker):
+        """Mark ``workers`` for the length of a control request that
+        rebuilds, loads or patches a generation; reads steer around them
+        (:meth:`_pick_worker`).
+
+        The mark is raised before the block's first await, so a write's
+        fan-out marks its replicas in the same event-loop step that
+        unmarks the primary, and lowered in ``finally``, so an error or
+        a cancellation cannot leave a worker marked."""
+        for w in workers:
+            w.generation_work += 1
+        try:
+            yield
+        finally:
+            for w in workers:
+                w.generation_work -= 1
 
     def _any_routable(self, placed: _Placed) -> bool:
         return any(
@@ -706,7 +750,8 @@ class RouterTier(FrontDoor):
             if primary is None:
                 break
             try:
-                resp = await primary.control.request(fwd)
+                with self._generation_work(primary):
+                    resp = await primary.control.request(fwd)
             except ServiceError:
                 self.metrics.worker_errors += 1
                 self.supervisor.notify_suspect(primary)
@@ -788,9 +833,10 @@ class RouterTier(FrontDoor):
                 self.supervisor.ledger.record_patch(
                     placed.name, fwd["edge"], fwd["weight"])
                 if others:
-                    acks = await asyncio.gather(
-                        *(w.control.request(fwd) for w in others),
-                        return_exceptions=True)
+                    with self._generation_work(*others):
+                        acks = await asyncio.gather(
+                            *(w.control.request(fwd) for w in others),
+                            return_exceptions=True)
                     self.metrics.patches_fanned += len(others)
                     for w, ack in zip(others, acks):
                         if not (isinstance(ack, dict)
@@ -812,9 +858,10 @@ class RouterTier(FrontDoor):
                 "digest": resp["snapshot_digest"],
                 "generation": resp["generation"]}
         t0 = time.perf_counter()
-        acks = await asyncio.gather(
-            *(w.control.request(swap) for w in others),
-            return_exceptions=True)
+        with self._generation_work(*others):
+            acks = await asyncio.gather(
+                *(w.control.request(swap) for w in others),
+                return_exceptions=True)
         self.metrics.swap_latency.extend([time.perf_counter() - t0])
         self.metrics.swaps_shipped += len(others)
         resp["shipped_to"] = []
@@ -902,6 +949,8 @@ class RouterTier(FrontDoor):
                      for proto, wm in self.wire.items()},
             "supervisor": self.supervisor.metrics.snapshot(),
             "ledger": self.supervisor.ledger.snapshot(),
+            "generation_work": {str(w.worker_id): w.generation_work
+                                for w in self.workers.values()},
             "workers": per_worker,
         }
 

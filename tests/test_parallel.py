@@ -9,6 +9,9 @@ the pool or its sibling tasks' results.
 """
 
 import asyncio
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -157,6 +160,29 @@ class TestWorkerPool:
 
         with pytest.raises(ExecutorError):
             p.submit("ping", 1)
+
+    def test_close_kills_a_stopped_worker(self, monkeypatch):
+        """A SIGSTOPped worker reads no stop message and leaves SIGTERM
+        pending; close() still returns within its bound (the join
+        deadline + 1 s terminate + 1 s kill), and the worker is gone
+        afterwards. The join deadline is shortened so the test waits
+        ~2.5 s rather than ~7 s."""
+        monkeypatch.setattr(parallel, "CLOSE_DEADLINE_S", 0.5)
+        p = WorkerPool(1)
+        p.ping()
+        victim = p._procs[0]
+        try:
+            os.kill(victim.pid, signal.SIGSTOP)
+            t0 = time.perf_counter()
+            p.close()
+            took = time.perf_counter() - t0
+            alive = victim.is_alive()
+        finally:
+            if victim.exitcode is None:  # not reaped: the pid is ours
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(5)
+        assert took < parallel.CLOSE_DEADLINE_S + 2.5, took
+        assert not alive
 
 
 # -- workload-level partitions -------------------------------------------------

@@ -17,6 +17,7 @@ import signal
 import socket
 import tempfile
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from repro.service import (
 )
 from repro.service.loadgen import make_plan, run_tcp
 from repro.service.metrics import LatencyReservoir
-from repro.service.router import BinaryWorkerLink
+from repro.service.router import BinaryWorkerLink, _Placed, _Worker
 from repro.service.supervision import STOP_DEADLINE_S
 
 
@@ -294,6 +295,235 @@ class TestRouterTier:
                 assert stats.answered + stats.type_errors >= 300 - stats.shed
             finally:
                 await rt.stop()
+
+        run(scenario())
+
+
+class TestReadSteering:
+    """Reads steer around a worker with generation work in flight, and
+    fall back to plain round-robin when every candidate has some."""
+
+    @staticmethod
+    def _tier(replicas=(0, 1)):
+        """An unstarted tier over stub workers: routing state only."""
+        rt = RouterTier(RouterConfig(workers=len(replicas),
+                                     replication=len(replicas)))
+        for wid in replicas:
+            rt.workers[wid] = _Worker(
+                worker_id=wid, proc=None, boot=None, port=0,
+                query_links=[SimpleNamespace(_dead=False)],
+                control=None, telemetry=None)
+        rt.instances["default"] = _Placed(
+            name="default", iid=0, m=10, n=6, m_tree=5,
+            replicas=list(replicas))
+        return rt, rt.instances["default"]
+
+    @staticmethod
+    def _picks(rt, placed, k=4):
+        return [w.worker_id for w in
+                (rt._pick_worker(placed) for _ in range(k))]
+
+    @staticmethod
+    def _saturate(w):
+        w.depth = {"default": {"queued": 4096, "bound": 4096,
+                               "fraction": 1.0}}
+
+    def test_busy_replica_is_skipped_while_an_idle_one_exists(self):
+        rt, placed = self._tier()
+        rt.workers[0].generation_work = 1
+        assert self._picks(rt, placed) == [1, 1, 1, 1]
+        # the first turn is worker 1's; each pick leaves the next turn
+        # to worker 0, so the three after it are steered
+        assert rt.metrics.reads_steered == 3
+        rt.workers[0].generation_work = 0
+        assert sorted(self._picks(rt, placed)) == [0, 0, 1, 1]
+        assert rt.metrics.reads_steered == 3
+
+    def test_busy_replica_reads_when_it_is_the_only_routable_one(self):
+        rt, placed = self._tier()
+        rt.workers[0].generation_work = 1
+        rt.workers[1].up = False
+        assert self._picks(rt, placed) == [0, 0, 0, 0]
+        rt.workers[1].up = True
+        rt.workers[1].stale.add("default")
+        assert self._picks(rt, placed) == [0, 0, 0, 0]
+        # replication 1, and an all-busy set: round-robin as unmarked
+        rt1, placed1 = self._tier(replicas=(0,))
+        rt1.workers[0].generation_work = 2
+        assert self._picks(rt1, placed1) == [0, 0, 0, 0]
+        rt2, placed2 = self._tier()
+        for w in rt2.workers.values():
+            w.generation_work = 1
+        assert self._picks(rt2, placed2) == [1, 0, 1, 0]
+        assert (rt.metrics.reads_steered, rt1.metrics.reads_steered,
+                rt2.metrics.reads_steered) == (0, 0, 0)
+
+    def test_idle_saturated_replica_falls_back_to_a_busy_one(self):
+        rt, placed = self._tier()
+        rt.workers[0].generation_work = 1
+        self._saturate(rt.workers[1])
+        assert self._picks(rt, placed) == [0, 0, 0, 0]
+        assert rt.metrics.reads_steered == 0
+        # mid-swap: the primary already serves g+1 but is saturated, so
+        # reads fall back to the marked replica, which still serves g;
+        # in-order generations hold only while the idle worker has room
+        rt, placed = self._tier()
+        self._saturate(rt.workers[0])
+        rt.workers[1].generation_work = 1
+        assert self._picks(rt, placed) == [1, 1, 1, 1]
+        assert rt.metrics.reads_steered == 0
+
+    def test_every_replica_saturated_still_sheds(self):
+        rt, placed = self._tier()
+        rt.workers[0].generation_work = 1
+        for w in rt.workers.values():
+            self._saturate(w)
+        assert rt._pick_worker(placed) is None
+        r = run(rt.handle_request({"op": "sensitivity", "edge": 1}))
+        assert not r["ok"] and r["shed"] and r["where"] == "router"
+        assert rt.metrics.shed_router == 1
+
+    def test_reader_sees_generations_in_order_across_writes(self):
+        """One sequential JSON reader across six structural writes: each
+        answer is its generation's oracle, generations never go back,
+        and some reads were steered off a rebuilding or adopting
+        worker."""
+        g = make_graph(n=240)
+        ref = InstanceUpdater.build("ref", g)
+        hi = float(g.w.max())
+        tree = np.flatnonzero(g.tree_mask)
+        # tree edges priced above every other edge leave the tree when
+        # anything covers them: each batch is a full, tree-affecting replay
+        batches = [[{"kind": "reprice", "edge": int(tree[7 * k]),
+                     "weight": hi + 1 + k}] for k in range(6)]
+        expected = {0: ref.oracle.sens.copy()}
+        for ops in batches:
+            assert ref.apply_batch(ops).action == "rebuilt"
+            expected[ref.generation] = ref.oracle.sens.copy()
+        edges = list(range(0, g.m, 3))
+
+        async def scenario():
+            rt = RouterTier(RouterConfig(workers=2, replication=2,
+                                         shards=2))
+            await rt.start()
+            try:
+                await rt.add_instance("default", g)
+                writes_done = asyncio.Event()
+
+                async def reader():
+                    seen, wrong = [], []
+                    k = 0
+                    while not writes_done.is_set():
+                        e = edges[k % len(edges)]
+                        k += 1
+                        r = await rt.handle_request(
+                            {"op": "sensitivity", "edge": e})
+                        assert r["ok"], r
+                        seen.append(r["generation"])
+                        if r["result"] != float(
+                                expected[r["generation"]][e]):
+                            wrong.append((r["generation"], e, r))
+                    return seen, wrong
+
+                async def writer():
+                    try:
+                        out = []
+                        for ops in batches:
+                            out.append(await rt.handle_request(
+                                {"op": "update_batch", "ops": ops}))
+                            assert all(w.generation_work == 0
+                                       for w in rt.workers.values())
+                            await asyncio.sleep(0.01)
+                        return out
+                    finally:
+                        writes_done.set()
+
+                (seen, wrong), resps = await asyncio.gather(reader(),
+                                                            writer())
+                last = await rt.handle_request(
+                    {"op": "sensitivity", "edge": 0})
+                m = (await rt.handle_request({"op": "metrics"}))["result"]
+            finally:
+                await rt.stop()
+            return seen, wrong, resps, last, m
+
+        seen, wrong, resps, last, m = run(scenario())
+        assert [r["generation"] for r in resps] == list(range(1, 7))
+        assert all(r["action"] == "rebuilt" for r in resps)
+        assert [s["ok"] for r in resps for s in r["shipped_to"]] == \
+            [True] * 6
+        assert wrong == []
+        assert all(a <= b for a, b in zip(seen, seen[1:])), seen
+        assert len(set(seen)) > 1
+        assert last["generation"] == 6
+        assert last["result"] == float(expected[6][0])
+        assert m["router"]["reads_steered"] > 0
+        assert m["generation_work"] == {"0": 0, "1": 0}
+
+    def test_marks_clear_after_a_failed_swap_and_a_stop_mid_write(self):
+        """A replica that refuses its swap is marked while the swap is
+        in flight and unmarked after; a stop() that lands while the
+        primary's write is in flight leaves no worker marked."""
+
+        class _Control:
+            """Relays control ops; refuses swaps, holds writes on ``gate``."""
+
+            def __init__(self, w, gate):
+                self.link, self.w, self.gate = w.control, w, gate
+                self.marks = []
+
+            def __getattr__(self, name):
+                return getattr(self.link, name)
+
+            async def request(self, req, timeout_s=None):
+                if req["op"] == "swap":
+                    self.marks.append(self.w.generation_work)
+                    return {"ok": False, "error": "refused"}
+                if req["op"] == "update_batch" and self.gate is not None:
+                    self.marks.append(self.w.generation_work)
+                    await self.gate.wait()
+                return await self.link.request(req, timeout_s)
+
+        async def scenario():
+            g = make_graph(n=80)
+            rt = RouterTier(RouterConfig(workers=2, replication=2,
+                                         shards=2, supervise=False))
+            await rt.start()
+            try:
+                await rt.add_instance("default", g)
+                primary, replica = (rt.workers[wid] for wid in
+                                    rt.instances["default"].replicas)
+                replica.control = _Control(replica, None)
+                resp = await rt.update_batch(
+                    {"ops": [{"kind": "reprice", "edge": 0,
+                              "weight": float(g.w.max()) + 1}]})
+                assert resp["action"] == "rebuilt", resp
+                assert resp["shipped_to"] == [
+                    {"worker": replica.worker_id, "ok": False}]
+                assert replica.control.marks == [1]
+                assert "default" in replica.stale
+                assert [w.generation_work for w in rt.workers.values()] \
+                    == [0, 0]
+
+                gate = asyncio.Event()
+                primary.control = _Control(primary, gate)
+                write = asyncio.ensure_future(rt.update_batch(
+                    {"ops": [{"kind": "reprice", "edge": 0,
+                              "weight": float(g.w.max()) + 2}]}))
+                for _ in range(1000):
+                    if primary.control.marks:
+                        break
+                    await asyncio.sleep(0.001)
+                assert primary.control.marks == [1]
+                report = await rt.stop()
+                gate.set()
+                resp = await asyncio.wait_for(write, 10.0)
+            finally:
+                await rt.stop()  # idempotent; stops the tier on failure
+            assert report == {"missed_deadline": []}
+            assert not resp["ok"]
+            assert [w.generation_work for w in rt.workers.values()] \
+                == [0, 0]
 
         run(scenario())
 
