@@ -38,6 +38,7 @@ from repro.service import (
     RouterConfig,
     RouterTier,
     SensitivityService,
+    ServiceClient,
     ServiceConfig,
 )
 from repro.service.loadgen import make_plan, run_tcp
@@ -76,23 +77,18 @@ def _graphs():
 
 
 async def _probe(host, port, edges_by_instance):
-    """One serial connection reading sensitivity answers + generations."""
-    reader, writer = await asyncio.open_connection(host, port)
+    """One serial client reading sensitivity answers + generations."""
+    client = await ServiceClient.connect(host, port)
     out = {}
     try:
-        import json
-
         for name, edges in edges_by_instance.items():
             for e in edges:
-                writer.write((json.dumps(
-                    {"op": "sensitivity", "instance": name,
-                     "edge": int(e)}) + "\n").encode())
-                await writer.drain()
-                resp = json.loads(await reader.readline())
+                resp = await client.call("sensitivity", instance=name,
+                                         edge=int(e))
                 assert resp["ok"], resp
                 out[(name, int(e))] = (resp["result"], resp["generation"])
     finally:
-        writer.close()
+        await client.close()
     return out
 
 

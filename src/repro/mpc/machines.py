@@ -22,26 +22,18 @@ traffic (shard counts, scan summaries, carries) goes through
 round charging from per-machine word vectors without materialising
 packets. Every :meth:`route`/:meth:`control` call still charges exactly
 one transport round.
-
-A thin packet-level compatibility view (:meth:`Fabric.exchange`, one
-``(destination, Table)`` list per machine) is kept so protocol tests can
-exercise the round structure directly; it shares the cap-enforcement and
-accounting code with the columnar path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping
 
 import numpy as np
 
 from ..errors import CapacityError, ValidationError
 from .cost import CostTracker
-from .table import Table
 
-__all__ = ["Fabric", "FleetState", "Packet"]
-
-Packet = Tuple[int, Table]
+__all__ = ["Fabric", "FleetState"]
 
 
 class FleetState:
@@ -139,33 +131,3 @@ class Fabric:
         recv = np.asarray(recv_words, dtype=np.int64)
         self._enforce_caps(send, recv)
         self._finish_round(int(send.sum()), int(recv.max(initial=0)))
-
-    # ------------------------------------------------------------ packet view
-
-    def exchange(self, outboxes: Sequence[List[Packet]]) -> List[List[Table]]:
-        """Run one synchronous round at packet level (compatibility view).
-
-        ``outboxes[j]`` is machine ``j``'s list of ``(destination, table)``
-        packets. Returns ``inboxes`` where ``inboxes[j]`` lists the tables
-        received by machine ``j``, ordered by sender id then send order
-        (deterministic delivery) — the same order :meth:`route` realises
-        columnarly.
-        """
-        if len(outboxes) != self.m:
-            raise ValidationError(
-                f"outboxes for {len(outboxes)} machines, fabric has {self.m}"
-            )
-        inboxes: List[List[Table]] = [[] for _ in range(self.m)]
-        send_words = np.zeros(self.m, dtype=np.int64)
-        recv_words = np.zeros(self.m, dtype=np.int64)
-        for src, packets in enumerate(outboxes):
-            for dst, tab in packets:
-                if not (0 <= dst < self.m):
-                    raise ValidationError(f"machine {src} addressed bad peer {dst}")
-                w = tab.words
-                send_words[src] += w
-                recv_words[dst] += w
-                inboxes[dst].append(tab)
-        self._enforce_caps(send_words, recv_words)
-        self._finish_round(int(send_words.sum()), int(recv_words.max(initial=0)))
-        return inboxes

@@ -38,9 +38,9 @@ See DESIGN.md §6.4.
 The wire layer (S25) removes the data plane's serialisation tax: a
 versioned binary columnar protocol (:mod:`repro.service.wire`) rides
 the *same* TCP ports — the first byte of a connection disambiguates —
-with fixed 16-byte point frames, columnar bulk frames, a per-
-connection ``hello`` symbol handshake (:class:`WireSymbols`) and a
-JSON *escape frame* for control ops. Inside the fleet it is the only
+with fixed 16-byte point frames, a per-connection ``hello`` symbol
+handshake (:class:`WireSymbols`) and a JSON *escape frame* for control
+ops. Inside the fleet it is the only
 format: the router relays binary frames with zero JSON parser
 invocations (header peek + byte counting), packs JSON-door queries into
 the same frames, and sends control ops and telemetry as escape frames;
@@ -66,7 +66,7 @@ from .streaming import StreamIngestor
 from .supervision import (GenerationLedger, LedgerEntry, RestartPolicy,
                           Supervisor)
 from .updates import BatchReport, InstanceUpdater, UpdateReport
-from .worker_proc import WorkerSpec, WorkerService, worker_entry
+from .worker_proc import WorkerService, worker_entry
 
 __all__ = [
     "QUERY_OPS",
@@ -105,7 +105,6 @@ __all__ = [
     "InstanceUpdater",
     "BatchReport",
     "UpdateReport",
-    "WorkerSpec",
     "WorkerService",
     "worker_entry",
 ]

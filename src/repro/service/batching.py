@@ -26,8 +26,12 @@ waiting thread never sees a stalled switch and never asks for one
 ``sys.getswitchinterval()`` after each dispatch; otherwise it never
 waits.
 
-``max_batch=1`` degenerates to one dispatch per query (the E13
-baseline), which isolates exactly the micro-batching win.
+``max_batch`` counts queue items, not queries: a scalar ``submit`` is
+one item, and so is each ``submit_vector`` group (a decoded binary
+run's (instance, op, shard) group), however many queries it carries.
+``max_batch=1`` therefore degenerates to one dispatch per scalar query
+(the E13 baseline, which isolates exactly the micro-batching win) but
+still dispatches a vector group whole.
 """
 
 from __future__ import annotations

@@ -17,9 +17,8 @@ observes a plain request/response protocol.
 
 An owner (:class:`~repro.service.server.SensitivityService`,
 :class:`~repro.service.router.RouterTier`) supplies only what differs:
-``handle_request`` (parsed dispatch for JSON lines and escape frames),
-``_answer_points`` for a run of point frames, and ``_answer_bulk``
-for a bulk frame.
+``handle_request`` (parsed dispatch for JSON lines and escape frames)
+and ``_answer_points`` for a run of point frames.
 """
 
 from __future__ import annotations
@@ -95,11 +94,6 @@ class FrontDoor:
             writer.close()
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-
-    def _answer_bulk(self, frame: bytes):
-        """The coroutine answering one bulk frame. A door that relays
-        only point runs refuses it, which ends the connection."""
-        raise wire.WireError(f"frame type 0x{frame[1]:02x} is not routable")
 
     # -- one connection ----------------------------------------------------------
 
@@ -247,7 +241,7 @@ class FrontDoor:
         """Batched binary reads: the unit of work is a *run* of frames.
 
         Contiguous 16-byte point frames go to ``_answer_points`` as one
-        payload; bulk and escape frames dispatch individually. A framing
+        payload; escape frames dispatch individually. A framing
         violation (bad magic — e.g. a JSON client that negotiated
         binary — unknown type, oversized length) answers with a
         structured escape error and ends the connection; it never hangs
@@ -289,8 +283,6 @@ class FrontDoor:
                                is_shutdown)
                         if is_shutdown:
                             return
-                    elif frame[1] in wire.POINT_OF_BULK:
-                        yield loop.create_task(self._answer_bulk(frame)), False
                     else:
                         raise wire.WireError(
                             f"frame type 0x{frame[1]:02x} is not a request")
@@ -306,5 +298,5 @@ class FrontDoor:
                 wm.json_encodes += 1
                 wm.frames_out += 1
                 return wire.encode_escape(resp)
-            return resp  # point/bulk answers count their own frames
+            return resp  # point answers count their own frames
         return encode

@@ -1,35 +1,45 @@
 """Load generator for the sensitivity query service.
 
 Drives a query mix (survives / sensitivity / replacement_edge /
-entry_threshold) from many concurrent clients and reports throughput,
-shed rate and latency percentiles. Two transports behind one engine:
+entry_threshold) from many concurrent connections and reports
+throughput, shed rate and latency percentiles.
 
-* ``run_inprocess(service, ...)`` — drives a
-  :class:`~repro.service.server.SensitivityService` directly (the E13
-  benchmark and tests);
-* ``run_tcp(host, port, ...)`` — JSON-lines over ``clients`` real
-  connections (the CI smoke step), with connect retries so it can be
-  started alongside the server. ``pipeline > 1`` keeps that many
-  requests in flight per connection — the server answers in request
-  order, so responses correlate positionally (no request ids).
-  ``wire_mode="binary"`` switches the query storm to the binary
-  columnar protocol (:mod:`repro.service.wire`): each connection
-  negotiates symbols via the ``hello`` escape frame, the whole plan is
-  pre-encoded into one packed 16-byte-record array, and each chunk is
-  a single buffer write answered by ``16 * chunk`` bytes read back and
-  tallied vectorised. Control side-channels (handshake, shutdown,
-  churn, live-update) stay JSON either way.
+* ``run_tcp(host, port, ...)`` — the query storm over ``clients`` real
+  connections (the CI smoke steps), with connect retries so it can be
+  started alongside the server. Every connection runs the same
+  pipelined chunk loop: write ``pipeline`` requests, then read their
+  answers back — the server answers a connection in request order, so
+  answers correlate positionally (no request ids) — and tally them by
+  wire status. The protocol is only an encoder and a status reader:
+  ``wire_mode="json"`` joins each chunk's JSON lines and classifies
+  each answer with :func:`~repro.service.wire.response_to_status`;
+  ``wire_mode="binary"`` negotiates symbols with a ``hello`` on every
+  connection, packs the whole plan into 16-byte point frames once and
+  reads each chunk's statuses off the response frames' low nibble. A
+  connection that fails counts its chunk as errors and stops; the
+  others drain the plan.
+* ``run_inprocess(service, ...)`` — submits the plan straight to an
+  in-process service's shard batchers, ``pipeline`` queries in flight
+  per client (the E13 benchmark and tests).
 
-Driver-side encode time (``json.dumps`` or the columnar packing) is
+Driver-side encode time (the JSON join or the frame packing) is
 measured separately from the round trips and reported as ``encode_s``
 — it is loadgen CPU, not server latency, and the latency percentiles
 exclude it.
 
-One driver process saturates around one core of ``json.dumps``; the
-``--procs N`` mode forks N whole loadgen processes (same explicit
-multiprocessing context as the compute pool), each driving its own
-seeded slice of the plan, and merges their :class:`LoadStats` through
-a summary pipe — the client-side mirror of the router's worker fleet.
+Every one-request exchange — the instances handshake, ``shutdown``,
+``--live-update``, ``--churn``, ``--chaos`` and the recovery poll —
+goes through :class:`~repro.service.server.ServiceClient` over JSON
+lines, whatever ``--wire`` the storm uses. The handshake asks again
+until the server reports an instance, since a router starts listening
+before it has added its instances.
+
+One driver process saturates around one core; the ``--procs N`` mode
+forks N whole loadgen processes (same explicit multiprocessing context
+as the compute pool), each driving its own seeded share of the plan
+(the shares sum to ``--queries``), and merges the :class:`LoadStats`
+each sends up its pipe — the client-side mirror of the router's worker
+fleet.
 
 ``--live-update`` exercises the zero-downtime path while the storm is
 running: a side connection probes tree edges until one update reports
@@ -82,7 +92,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import ServiceError
 from . import wire
+from .server import ServiceClient
 
 __all__ = ["QueryPlan", "make_plan", "run_inprocess", "run_tcp",
            "run_procs", "live_update", "churn_storm", "arm_chaos",
@@ -157,19 +169,26 @@ class LoadStats:
     def qps(self) -> float:
         return self.answered / self.wall_s if self.wall_s > 0 else 0.0
 
-    def tally(self, resp: Dict, latency_s: float) -> None:
-        self.sent += 1
-        if resp.get("ok"):
-            self.answered += 1
-            self.latencies.append(latency_s)
-        elif resp.get("shed"):
-            self.shed += 1
-        elif resp.get("error_kind") == "type":
-            self.type_errors += 1   # service correctly refused the op kind
-            self.answered += 1
-            self.latencies.append(latency_s)
-        else:
-            self.errors += 1
+    def tally(self, statuses: np.ndarray,
+              per_query_s: Optional[float] = None) -> None:
+        """Count one chunk of answers by wire status.
+
+        A type error is the service correctly refusing the op's edge
+        kind, so it counts as answered. ``per_query_s`` (the chunk's
+        round trip over its size) is recorded once per answered query.
+        """
+        n = len(statuses)
+        ok = int(np.count_nonzero(statuses == wire.ST_OK))
+        typed = int(np.count_nonzero(statuses == wire.ST_TYPE))
+        shed = int(np.count_nonzero((statuses == wire.ST_SHED)
+                                    | (statuses == wire.ST_SHED_ROUTER)))
+        self.sent += n
+        self.answered += ok + typed
+        self.type_errors += typed
+        self.shed += shed
+        self.errors += n - ok - typed - shed
+        if per_query_s is not None:
+            self.latencies.extend([per_query_s] * (ok + typed))
 
     def summary(self) -> Dict:
         lats = np.asarray(self.latencies, dtype=np.float64)
@@ -210,51 +229,22 @@ class LoadStats:
         return out
 
 
-async def _drive(submit, plan: QueryPlan, clients: int) -> LoadStats:
-    """Fan ``plan`` over ``clients`` concurrent workers via ``submit``."""
-    stats = LoadStats()
-    counter = {"next": 0}
-
-    async def worker(wid: int) -> None:
-        while True:
-            i = counter["next"]
-            if i >= len(plan):
-                return
-            counter["next"] = i + 1
-            t0 = time.perf_counter()
-            resp = await submit(wid, plan.request(i))
-            stats.tally(resp, time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    await asyncio.gather(*(worker(w) for w in range(max(1, clients))))
-    stats.wall_s = time.perf_counter() - t0
-    return stats
-
-
 async def run_inprocess(service, plan: QueryPlan, clients: int = 64,
                         pipeline: int = 1) -> LoadStats:
     """Drive an in-process service with concurrent client coroutines.
 
-    ``pipeline=1`` awaits each response before sending the next query
-    (strictly serial clients, one response dict per query).
-    ``pipeline > 1`` keeps that many point queries in flight per
-    client via :meth:`~repro.service.server.SensitivityService.
-    submit_nowait` — the multiplexed-client mode the E13 benchmark
-    uses. Latency percentiles then live in the *service* metrics
+    Each client keeps ``pipeline`` point queries in flight through the
+    shard batchers' ``submit`` — the multiplexed-client mode the E13
+    benchmark uses. Latency percentiles live in the *service* metrics
     (per-query submit→dispatch time); the loadgen-side reservoir stays
     empty.
     """
-    if pipeline <= 1:
-        async def submit(_wid: int, req: Dict) -> Dict:
-            return await service.handle_request(req)
-
-        return await _drive(submit, plan, clients)
-
     from .batching import ServiceOverloaded
 
     stats = LoadStats()
     counter = {"next": 0}
     total = len(plan)
+    chunk_n = max(1, pipeline)
     ops, edges, weights, who = (plan.ops, plan.edges, plan.weights,
                                 plan.instances)
 
@@ -274,61 +264,40 @@ async def run_inprocess(service, plan: QueryPlan, clients: int = 64,
         target[mask] = [batchers[s] for s in shard_of]
 
     async def worker() -> None:
-        while True:
-            i0 = counter["next"]
-            if i0 >= total:
-                return
-            i1 = min(i0 + pipeline, total)
+        while (i0 := counter["next"]) < total:
+            i1 = min(i0 + chunk_n, total)
             counter["next"] = i1
-            futs = []
+            statuses, futs = [], []
             for i in range(i0, i1):
                 op = ops[i]
                 w = float(weights[i]) if op == "survives" else None
                 try:
                     futs.append(target[i].submit(op, edges[i], w))
                 except ServiceOverloaded:
-                    stats.sent += 1
-                    stats.shed += 1
+                    statuses.append(wire.ST_SHED)
             for fut in futs:
                 if not fut.done():
                     await fut
-                _gen, ok, _value, error_kind = fut.result()
-                stats.sent += 1
-                if ok:
-                    stats.answered += 1
-                elif error_kind == "type":
-                    stats.type_errors += 1
-                    stats.answered += 1
-                else:
-                    stats.errors += 1
+                _gen, ok, _value, kind = fut.result()
+                statuses.append(wire.ST_OK if ok else
+                                wire.KIND_TO_STATUS.get(kind, wire.ST_ERROR))
+            stats.tally(np.array(statuses, dtype=np.uint8))
 
     await asyncio.gather(*(worker() for _ in range(max(1, clients))))
     stats.wall_s = time.perf_counter() - t0
     return stats
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one complete binary frame (header first, then the rest)."""
-    head = await reader.readexactly(wire.HEADER_LEN)
-    need = wire.frame_length(head)
-    return head + await reader.readexactly(need - wire.HEADER_LEN)
-
-
-async def _hello_binary(reader: asyncio.StreamReader,
-                        writer: asyncio.StreamWriter) -> Dict[str, int]:
-    """Negotiate the binary protocol on a fresh connection.
-
-    The escape frame's leading magic byte is what flips the server's
-    per-connection sniffer to binary; the reply carries the symbol
-    table (instance name → interned u16 id) used to pack requests.
-    """
-    writer.write(wire.encode_escape({"op": "hello",
-                                     "wire": wire.WIRE_VERSION}))
-    await writer.drain()
-    resp = wire.decode_escape(await _read_frame(reader))
-    if not resp.get("ok"):
-        raise ConnectionError(f"binary hello rejected: {resp}")
-    return {k: int(v) for k, v in resp["result"]["symbols"].items()}
+async def _retrying(connect, deadline: float):
+    """``await connect()``, retried every 0.2 s until ``deadline`` while
+    the server is still booting."""
+    while True:
+        try:
+            return await connect()
+        except (OSError, ServiceError):
+            if time.perf_counter() >= deadline:
+                raise
+            await asyncio.sleep(0.2)
 
 
 async def run_tcp(host: str, port: int, plan: QueryPlan, clients: int = 16,
@@ -337,155 +306,98 @@ async def run_tcp(host: str, port: int, plan: QueryPlan, clients: int = 16,
                   wire_mode: str = "json") -> LoadStats:
     """Drive a remote service over ``clients`` real connections.
 
-    ``pipeline > 1`` writes that many requests per connection before
-    reading the responses back. The service (and router) answer a
-    connection strictly in request order, so the k-th response
-    belongs to the k-th request of the chunk — deep pipelining with
-    positional correlation, which is also what lets the server's
-    micro-batcher see whole chunks instead of one query per RTT.
-    Per-query latency is then chunk-granular, so percentiles are
-    reported over chunk round-trips divided by chunk size (mean
-    in-chunk), not individual RTTs.
+    Each connection writes ``pipeline`` requests, then reads their
+    answers. The service (and router) answer a connection strictly in
+    request order, so the k-th answer belongs to the k-th request of
+    the chunk — deep pipelining with positional correlation, which is
+    also what lets the server's micro-batcher see whole chunks instead
+    of one query per RTT. Per-query latency is chunk-granular:
+    percentiles are over chunk round trips divided by chunk size (mean
+    in-chunk), not individual RTTs. The RTT clock starts after the
+    chunk's payload is built and stops before its answers are decoded,
+    so the percentiles are server + network time, not driver CPU.
 
-    ``wire_mode="binary"`` negotiates the columnar protocol per
-    connection, pre-packs the whole plan into one 16-byte-record array
-    (timed as ``encode_s``, outside the RTT clock), and tallies the
-    fixed-width responses vectorised. In both modes the RTT clock
-    starts only after the chunk payload is built, so the reported
-    percentiles are server+network time, not driver ``json.dumps``.
+    ``wire_mode`` picks only the encoder and the status reader: JSON
+    lines joined per chunk, or 16-byte point frames packed for the
+    whole plan once every connection has negotiated its ``hello``. Both
+    encodes are timed into ``encode_s``.
     """
     if wire_mode not in ("json", "binary"):
         raise ValueError(f"unknown wire_mode {wire_mode!r}")
-    conns = []
     deadline = time.perf_counter() + connect_timeout_s
-    for _ in range(max(1, clients)):
-        while True:
-            try:
-                conns.append(await asyncio.open_connection(host, port))
-                break
-            except OSError:
-                if time.perf_counter() >= deadline:
-                    raise
-                await asyncio.sleep(0.2)
+    conns: List = []
+    stats = LoadStats()
+    try:
+        for _ in range(max(1, clients)):
+            conns.append(await _retrying(
+                lambda: asyncio.open_connection(host, port), deadline))
+        if wire_mode == "binary":
+            for reader, writer in conns:  # every conn flips to binary
+                symbols = await wire.hello(reader, writer)
+            t_enc = time.perf_counter()
+            frames = wire.encode_point_requests(
+                np.array([wire.OP_CODE[op] for op in plan.ops],
+                         dtype=np.uint8),
+                np.array([symbols[w] for w in plan.instances],
+                         dtype=np.uint16),
+                plan.edges.astype(np.uint32), plan.weights)
+            stats.encode_s += time.perf_counter() - t_enc
 
-    total = len(plan)
-    chunk_n = max(1, pipeline)
+            def encode(i0: int, i1: int) -> bytes:
+                return frames[i0 * wire.POINT_LEN:i1 * wire.POINT_LEN]
 
-    async def drive_jsonl() -> LoadStats:
-        stats = LoadStats()
+            async def read(reader, n: int) -> bytes:
+                return await reader.readexactly(n * wire.POINT_LEN)
+
+            def statuses(raw: bytes) -> np.ndarray:
+                return np.frombuffer(raw, dtype=wire.RESP_DTYPE)["type"] & 0x0F
+        else:
+            def encode(i0: int, i1: int) -> bytes:
+                return wire.join_lines(plan.request(i) for i in range(i0, i1))
+
+            async def read(reader, n: int) -> List[bytes]:
+                lines = [await reader.readline() for _ in range(n)]
+                if not lines[-1]:  # EOF: every later readline is empty
+                    raise ConnectionError("connection closed mid-chunk")
+                return lines
+
+            def statuses(raw: List[bytes]) -> np.ndarray:
+                return np.array([wire.response_to_status(json.loads(line))
+                                 for line in raw], dtype=np.uint8)
+
         counter = {"next": 0}
+        total, chunk_n = len(plan), max(1, pipeline)
 
-        async def worker(wid: int) -> None:
-            reader, writer = conns[wid % len(conns)]
-            while True:
-                i0 = counter["next"]
-                if i0 >= total:
-                    return
+        async def drive(reader, writer) -> None:
+            while (i0 := counter["next"]) < total:
                 i1 = min(i0 + chunk_n, total)
                 counter["next"] = i1
                 t_enc = time.perf_counter()
-                payload = wire.join_lines(
-                    plan.request(i) for i in range(i0, i1))
+                payload = encode(i0, i1)
                 t0 = time.perf_counter()
                 stats.encode_s += t0 - t_enc
-                writer.write(payload)
                 try:
+                    writer.write(payload)
                     await writer.drain()
-                    lines = [await reader.readline()
-                             for _ in range(i1 - i0)]
-                except (ConnectionError, OSError):
-                    lines = [b""] * (i1 - i0)
-                per_query = (time.perf_counter() - t0) / (i1 - i0)
-                for line in lines:
-                    if not line:
-                        stats.sent += 1
-                        stats.errors += 1
-                        continue
-                    stats.tally(json.loads(line), per_query)
-
-        t0 = time.perf_counter()
-        await asyncio.gather(*(worker(w) for w in range(len(conns))))
-        stats.wall_s = time.perf_counter() - t0
-        return stats
-
-    async def drive_binary() -> LoadStats:
-        stats = LoadStats()
-        counter = {"next": 0}
-        symbols: Dict[str, int] = {}
-        for reader, writer in conns:   # every conn flips to binary
-            symbols = await _hello_binary(reader, writer)
-        # pack the whole plan once: one 16-byte record per query
-        t_enc = time.perf_counter()
-        arr = np.zeros(total, dtype=wire.POINT_DTYPE)
-        arr["magic"] = wire.MAGIC
-        arr["type"] = np.array([wire.OP_CODE[op] for op in plan.ops],
-                               dtype=np.uint8)
-        arr["iid"] = np.array([symbols[w] for w in plan.instances],
-                              dtype=np.uint16)
-        arr["edge"] = plan.edges.astype(np.uint32)
-        arr["weight"] = plan.weights
-        stats.encode_s += time.perf_counter() - t_enc
-        shed_codes = (wire.ST_SHED, wire.ST_SHED_ROUTER)
-
-        async def worker(wid: int) -> None:
-            reader, writer = conns[wid % len(conns)]
-            while True:
-                i0 = counter["next"]
-                if i0 >= total:
-                    return
-                i1 = min(i0 + chunk_n, total)
-                counter["next"] = i1
-                cnt = i1 - i0
-                t_e = time.perf_counter()
-                payload = arr[i0:i1].tobytes()
-                t0 = time.perf_counter()
-                stats.encode_s += t0 - t_e
-                writer.write(payload)
-                try:
-                    await writer.drain()
-                    data = await reader.readexactly(wire.POINT_LEN * cnt)
+                    raw = await read(reader, i1 - i0)
                 except (asyncio.IncompleteReadError, ConnectionError,
                         OSError):
-                    stats.sent += cnt
-                    stats.errors += cnt
-                    return        # this conn is dead; others drain the plan
-                per_query = (time.perf_counter() - t0) / cnt
-                resp = np.frombuffer(data, dtype=wire.RESP_DTYPE)
-                statuses = resp["type"] & 0x0F
-                n_ok = int(np.count_nonzero(statuses == wire.ST_OK))
-                n_type = int(np.count_nonzero(statuses == wire.ST_TYPE))
-                n_shed = int(np.count_nonzero(np.isin(statuses,
-                                                      shed_codes)))
-                stats.sent += cnt
-                stats.answered += n_ok + n_type
-                stats.type_errors += n_type
-                stats.shed += n_shed
-                stats.errors += cnt - n_ok - n_type - n_shed
-                stats.latencies.extend([per_query] * (n_ok + n_type))
+                    # this connection is dead: its chunk failed, and the
+                    # other connections drain the rest of the plan
+                    stats.tally(np.full(i1 - i0, wire.ST_DISCONNECTED,
+                                        dtype=np.uint8))
+                    return
+                per_query = (time.perf_counter() - t0) / (i1 - i0)
+                stats.tally(statuses(raw), per_query)
 
         t0 = time.perf_counter()
-        await asyncio.gather(*(worker(w) for w in range(len(conns))))
+        await asyncio.gather(*(drive(r, w) for r, w in conns))
         stats.wall_s = time.perf_counter() - t0
-        return stats
-
-    try:
-        if wire_mode == "binary":
-            stats = await drive_binary()
-        else:
-            stats = await drive_jsonl()
-        if shutdown:
-            reader, writer = conns[0]
-            if wire_mode == "binary":
-                writer.write(wire.encode_escape({"op": "shutdown"}))
-                await writer.drain()
-                await _read_frame(reader)
-            else:
-                writer.write(b'{"op": "shutdown"}\n')
-                await writer.drain()
-                await reader.readline()
     finally:
         for _, writer in conns:
             writer.close()
+    if shutdown:
+        await _oneshot(host, port, "shutdown")
     return stats
 
 
@@ -501,19 +413,16 @@ async def live_update(host: str, port: int, instance: str, m_tree: int,
     """
     if delay_s > 0:
         await asyncio.sleep(delay_s)
-    reader, writer = await asyncio.open_connection(host, port)
+    client = await ServiceClient.connect(host, port)
     report: Dict = {"ok": False, "action": None, "probes": 0}
     try:
         for edge in range(min(max_probes, m_tree)):
-            req = {"op": "update", "instance": instance, "edge": edge,
-                   "weight": 1e-6 * (edge + 1)}
-            writer.write((json.dumps(req) + "\n").encode())
-            await writer.drain()
-            line = await reader.readline()
-            if not line:
-                report["error"] = "connection closed during update"
+            try:
+                resp = await client.update(edge, 1e-6 * (edge + 1),
+                                           instance=instance)
+            except ServiceError as exc:
+                report["error"] = str(exc)
                 return report
-            resp = json.loads(line)
             report["probes"] += 1
             if resp.get("action") == "rebuilt":
                 report.update(
@@ -527,7 +436,7 @@ async def live_update(host: str, port: int, instance: str, m_tree: int,
                            f"{report['probes']} tree edges")
         return report
     finally:
-        writer.close()
+        await client.close()
 
 
 async def churn_storm(host: str, port: int, instance: str, n: int, m: int,
@@ -545,7 +454,7 @@ async def churn_storm(host: str, port: int, instance: str, n: int, m: int,
     never races its own id predictions. Sheds are tallied and retried;
     anything else non-ok is an error.
     """
-    reader, writer = await asyncio.open_connection(host, port)
+    client = await ServiceClient.connect(host, port)
     stats: Dict = {"batches_sent": 0, "applied": 0, "shed": 0,
                    "rejected": 0, "errors": 0, "scoped": 0,
                    "generations": set(), "last_error": None}
@@ -573,18 +482,12 @@ async def churn_storm(host: str, port: int, instance: str, n: int, m: int,
             if not ops:                     # nothing to touch this phase
                 phase = (phase + 1) % 3
                 continue
-            req = {"op": "update_batch", "instance": instance, "ops": ops}
-            writer.write((json.dumps(req) + "\n").encode())
             try:
-                await writer.drain()
-                line = await reader.readline()
-            except (ConnectionError, OSError):
-                line = b""
-            if not line:
+                resp = await client.update_batch(ops, instance=instance)
+            except ServiceError as exc:
                 stats["errors"] += 1
-                stats["last_error"] = "connection closed mid-churn"
+                stats["last_error"] = str(exc)
                 break
-            resp = json.loads(line)
             stats["batches_sent"] += 1
             if resp.get("shed"):
                 stats["shed"] += 1          # back off, retry this phase
@@ -610,30 +513,30 @@ async def churn_storm(host: str, port: int, instance: str, n: int, m: int,
             except asyncio.TimeoutError:
                 pass
     finally:
-        writer.close()
+        await client.close()
     stats["generations"] = sorted(
         g for g in stats["generations"] if g is not None)
     return stats
 
 
-async def _oneshot(host: str, port: int, req: Dict,
-                   timeout_s: float = 10.0) -> Dict:
-    """One request, one response, over a throwaway connection."""
-    reader, writer = await asyncio.open_connection(host, port)
+async def _oneshot(host: str, port: int, op: str, timeout_s: float = 10.0,
+                   **kw) -> Dict:
+    """One request over a throwaway client; a failure is an error dict."""
+    client = None
     try:
-        writer.write((json.dumps(req) + "\n").encode())
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout_s)
+        client = await ServiceClient.connect(host, port,
+                                             connect_timeout_s=timeout_s)
+        return await asyncio.wait_for(client.call(op, **kw), timeout_s)
+    except (ServiceError, asyncio.TimeoutError) as exc:
+        return {"ok": False, "error": f"{op}: {type(exc).__name__}: {exc}"}
     finally:
-        writer.close()
-    if not line:
-        return {"ok": False, "error": "connection closed"}
-    return json.loads(line)
+        if client is not None:
+            await client.close()
 
 
 async def arm_chaos(host: str, port: int, spec: str) -> Dict:
     """Arm a fault-injection plan on a running router (``chaos`` op)."""
-    return await _oneshot(host, port, {"op": "chaos", "spec": spec})
+    return await _oneshot(host, port, "chaos", spec=spec)
 
 
 async def await_recovery(host: str, port: int, respawns: int,
@@ -643,17 +546,14 @@ async def await_recovery(host: str, port: int, respawns: int,
 
     Returns the last supervisor metrics snapshot with ``ok`` set iff
     the fleet recorded at least ``respawns`` finished restarts before
-    the deadline. Transient connection failures during the poll are
-    retried — the router itself may be busy respawning.
+    the deadline. Failed polls are retried — the router itself may be
+    busy respawning.
     """
     deadline = time.perf_counter() + timeout_s
     last: Dict = {}
     while True:
-        try:
-            resp = await _oneshot(host, port, {"op": "metrics"},
-                                  timeout_s=min(timeout_s, 10.0))
-        except (OSError, asyncio.TimeoutError):
-            resp = {}
+        resp = await _oneshot(host, port, "metrics",
+                              timeout_s=min(timeout_s, 10.0))
         if resp.get("ok"):
             last = resp["result"].get("supervisor", {})
             if last.get("restarts", 0) >= respawns:
@@ -663,30 +563,29 @@ async def await_recovery(host: str, port: int, respawns: int,
         await asyncio.sleep(poll_s)
 
 
+def _shares(queries: int, procs: int) -> List[int]:
+    """Split ``queries`` over at most ``procs`` children so the shares
+    sum to ``queries``: the first ``queries % procs`` take one more,
+    and a zero share is dropped (it spawns no child)."""
+    procs = max(1, procs)
+    base, extra = divmod(max(0, queries), procs)
+    shares = [base + (k < extra) for k in range(procs)]
+    return [n for n in shares if n]
+
+
 def _proc_entry(conn, kwargs: Dict) -> None:
-    """One forked loadgen process: drive a seeded slice, pipe stats up."""
-    async def go() -> None:
+    """One forked loadgen process: drive a seeded share of the plan and
+    send its :class:`LoadStats` up the pipe. A child that fails sends
+    nothing (its traceback goes to stderr); the parent counts its whole
+    share as failed."""
+    try:
         plan = make_plan(kwargs["instances"], kwargs["queries"],
                          seed=kwargs["seed"])
-        stats = await run_tcp(
+        conn.send(asyncio.run(run_tcp(
             kwargs["host"], kwargs["port"], plan,
             clients=kwargs["clients"],
             connect_timeout_s=kwargs["connect_timeout_s"],
-            pipeline=kwargs["pipeline"],
-            wire_mode=kwargs.get("wire_mode", "json"),
-        )
-        conn.send({
-            "sent": stats.sent, "answered": stats.answered,
-            "shed": stats.shed, "type_errors": stats.type_errors,
-            "errors": stats.errors, "wall_s": stats.wall_s,
-            "encode_s": stats.encode_s,
-            "latencies": stats.latencies,
-        })
-
-    try:
-        asyncio.run(go())
-    except Exception as exc:  # noqa: BLE001 - the parent tallies it
-        conn.send({"error": f"{type(exc).__name__}: {exc}"})
+            pipeline=kwargs["pipeline"], wire_mode=kwargs["wire_mode"])))
     finally:
         conn.close()
 
@@ -696,20 +595,19 @@ async def run_procs(host: str, port: int, instances: Dict[str, int],
                     seed: int = 0, pipeline: int = 1,
                     connect_timeout_s: float = 15.0,
                     wire_mode: str = "json") -> LoadStats:
-    """Fork ``procs`` loadgen processes and merge their LoadStats.
+    """Fork up to ``procs`` loadgen processes and merge their LoadStats.
 
-    Each child draws its own plan (``seed + 1000 * proc_id``) over an
-    equal share of ``queries`` and drives it over its own connections;
-    summaries come back over a pipe. A child that dies (or reports a
-    transport failure) is folded in as errors, not dropped — the merged
-    exit criteria still see it.
+    Each child draws its own plan (``seed + 1000 * proc_id``) over its
+    share of ``queries`` (:func:`_shares`: the shares sum to
+    ``queries``) and drives it over its own connections. A child that
+    dies (or fails before reporting) is folded in as errors, not
+    dropped — the merged exit criteria still see it.
     """
     from ..mpc.parallel import get_context
 
     ctx = get_context()
-    share = max(1, queries // max(1, procs))
     kids = []
-    for pid in range(max(1, procs)):
+    for pid, share in enumerate(_shares(queries, procs)):
         parent_conn, child_conn = ctx.Pipe()
         kw = {"host": host, "port": port, "instances": instances,
               "queries": share, "clients": clients,
@@ -720,78 +618,79 @@ async def run_procs(host: str, port: int, instances: Dict[str, int],
                         daemon=True)
         p.start()
         child_conn.close()
-        kids.append((p, parent_conn))
+        kids.append((p, parent_conn, share))
     loop = asyncio.get_running_loop()
     parts = []
-    for p, conn in kids:
+    for _p, conn, share in kids:
         try:
-            msg = await loop.run_in_executor(None, conn.recv)
-        except EOFError:
-            msg = {"error": "loadgen child died without reporting"}
+            part = await loop.run_in_executor(None, conn.recv)
+        except EOFError:  # the whole share counts as failed
+            part = LoadStats()
+            part.tally(np.full(share, wire.ST_ERROR, dtype=np.uint8))
         finally:
             conn.close()
-        part = LoadStats()
-        if "error" in msg:
-            part.sent = share
-            part.errors = share  # the whole share counts as failed
-        else:
-            part.sent = msg["sent"]
-            part.answered = msg["answered"]
-            part.shed = msg["shed"]
-            part.type_errors = msg["type_errors"]
-            part.errors = msg["errors"]
-            part.wall_s = msg["wall_s"]
-            part.encode_s = msg.get("encode_s", 0.0)
-            part.latencies = msg["latencies"]
         parts.append(part)
-    for p, _ in kids:
+    for p, _conn, _share in kids:
         await loop.run_in_executor(None, p.join, 10.0)
         if p.is_alive():  # pragma: no cover - wedged child
             p.terminate()
     return LoadStats.merge(parts)
 
 
-async def _main_async(args) -> int:
-    reader, writer = None, None
+async def _discover(args) -> Optional[Dict]:
+    """The server's instance table, or ``None`` once it says why not.
+
+    Retries while the server boots: until it accepts a connection, and
+    until it reports an instance (a router listens before it has added
+    its instances).
+    """
     deadline = time.perf_counter() + args.connect_timeout
-    while True:  # discover instances (retrying while the server boots)
+    where = f"server at {args.host}:{args.port}"
+    while True:
         try:
-            reader, writer = await asyncio.open_connection(args.host,
-                                                           args.port)
-            break
-        except OSError:
-            if time.perf_counter() >= deadline:
-                print(f"could not connect to {args.host}:{args.port}",
-                      file=sys.stderr)
-                return 1
-            await asyncio.sleep(0.2)
-    writer.write(b'{"op": "instances"}\n')
-    # a server that accepts but never answers (wedged event loop, wrong
-    # protocol on the port) must not hang the client forever: bound the
-    # handshake read by the same budget as the connection itself. A
-    # reset mid-handshake (server slammed the door) is the same story.
-    try:
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(),
-                                      args.connect_timeout)
-    except asyncio.TimeoutError:
-        print(f"server at {args.host}:{args.port} accepted the connection "
-              f"but did not answer the instances handshake within "
-              f"{args.connect_timeout:.0f}s", file=sys.stderr)
-        writer.close()
+            client = await _retrying(lambda: ServiceClient.connect(
+                args.host, args.port, connect_timeout_s=args.connect_timeout),
+                deadline)
+        except ServiceError:
+            print(f"could not connect to {args.host}:{args.port}",
+                  file=sys.stderr)
+            return None
+        # a server that accepts but never answers (wedged event loop,
+        # wrong protocol on the port) must not hang the client forever:
+        # bound the handshake by the same budget as the connection
+        # itself. A reset mid-handshake (server slammed the door) is the
+        # same story.
+        try:
+            desc = await asyncio.wait_for(client.call("instances"),
+                                          args.connect_timeout)
+        except asyncio.TimeoutError:
+            print(f"{where} accepted the connection but did not answer "
+                  f"the instances handshake within "
+                  f"{args.connect_timeout:.0f}s", file=sys.stderr)
+            return None
+        except ServiceError as exc:
+            what = ("closed the connection during the instances handshake"
+                    if exc.kind == "disconnected" else
+                    f"garbled the instances handshake ({exc})")
+            print(f"{where} {what}", file=sys.stderr)
+            return None
+        finally:
+            await client.close()
+        if not desc.get("ok"):
+            print(f"instances query failed: {desc}", file=sys.stderr)
+            return None
+        if desc["result"]:
+            return desc["result"]
+        if time.perf_counter() >= deadline:
+            print(f"{where} has no instances", file=sys.stderr)
+            return None
+        await asyncio.sleep(0.2)
+
+
+async def _main_async(args) -> int:
+    described = await _discover(args)
+    if described is None:
         return 1
-    except OSError:
-        line = b""  # dropped mid-handshake: same as closing cleanly
-    writer.close()
-    if not line:
-        print(f"server at {args.host}:{args.port} closed the connection "
-              f"during the instances handshake", file=sys.stderr)
-        return 1
-    desc = json.loads(line)
-    if not desc.get("ok"):
-        print(f"instances query failed: {desc}", file=sys.stderr)
-        return 1
-    described = desc["result"]
     instances = {name: info["m"] for name, info in described.items()}
     print(f"instances: "
           f"{', '.join(f'{k} (m={v})' for k, v in sorted(instances.items()))}")
@@ -880,14 +779,7 @@ async def _main_async(args) -> int:
                   f"respawn(s) within {args.recovery_timeout:.0f}s, "
                   f"last supervisor snapshot {rec}", file=sys.stderr)
     if args.shutdown:
-        try:
-            r, w = await asyncio.open_connection(args.host, args.port)
-            w.write(b'{"op": "shutdown"}\n')
-            await w.drain()
-            await r.readline()
-            w.close()
-        except OSError:
-            pass
+        await _oneshot(args.host, args.port, "shutdown")
     s = stats.summary()
     mode = (f"{args.procs} procs x {args.clients} clients"
             if args.procs > 1 else f"{args.clients} clients")
@@ -915,7 +807,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     help="seconds to retry the first connection")
     ap.add_argument("--procs", type=int, default=1,
                     help="fork this many whole loadgen processes and "
-                         "merge their stats (each drives queries/procs)")
+                         "merge their stats (their shares sum to "
+                         "--queries)")
     ap.add_argument("--pipeline", type=int, default=1,
                     help="requests kept in flight per connection "
                          "(responses correlate positionally)")

@@ -73,8 +73,9 @@ from .chaos import ChaosInjector, ChaosPlan
 from .door import FrontDoor
 from .metrics import RouterMetrics
 from .placement import Placement
+from .server import ServiceConfig
 from .supervision import STOP_DEADLINE_S, Supervisor
-from .worker_proc import WorkerSpec, worker_entry
+from .worker_proc import worker_entry
 
 __all__ = ["RouterConfig", "RouterTier", "BinaryWorkerLink"]
 
@@ -148,27 +149,14 @@ class BinaryWorkerLink:
             raise ServiceError(f"worker connect {host}:{port} failed: {exc}",
                                kind="disconnected")
         try:
-            writer.write(wire.encode_escape(
-                {"op": "hello", "wire": wire.WIRE_VERSION,
-                 "instances": names}))
-            await writer.drain()
-            head = await asyncio.wait_for(
-                reader.readexactly(wire.HEADER_LEN), timeout_s)
-            length = wire.frame_length(head)
-            frame = head + await asyncio.wait_for(
-                reader.readexactly(length - wire.HEADER_LEN), timeout_s)
-            resp = wire.decode_escape(frame)
-        except (OSError, ConnectionError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError, wire.WireError) as exc:
+            await asyncio.wait_for(wire.hello(reader, writer, names),
+                                   timeout_s)
+        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError,
+                wire.WireError) as exc:
             writer.close()
             raise ServiceError(
                 f"binary hello to {host}:{port} failed: {exc}",
                 kind="disconnected")
-        if not resp.get("ok"):
-            writer.close()
-            raise ServiceError(
-                f"worker {host}:{port} rejected hello: {resp.get('error')}",
-                kind="protocol")
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:
@@ -363,18 +351,19 @@ class RouterTier(FrontDoor):
         """
         ctx = get_context()
         parent_conn, child_conn = ctx.Pipe()
-        spec = WorkerSpec(
-            worker_id=wid, host=self.config.worker_host,
-            shards=self.config.shards, max_batch=self.config.max_batch,
-            queue_depth=self.config.queue_depth,
-            engine=self.config.engine, delta=self.config.delta,
-            oracle_labels=self.config.oracle_labels,
+        cfg = self.config
+        config = ServiceConfig(
+            shards=cfg.shards, max_batch=cfg.max_batch,
+            queue_depth=cfg.queue_depth, engine=cfg.engine,
+            oracle_labels=cfg.oracle_labels,
+            config=(MPCConfig(delta=cfg.delta)
+                    if cfg.engine == "distributed" else None),
             mmap_dir=os.path.join(self._spool, f"worker{wid}"),
-            cache_dir=(os.path.join(self.config.cache_dir, f"worker{wid}")
-                       if self.config.cache_dir else None),
-        )
+            cache_dir=(os.path.join(cfg.cache_dir, f"worker{wid}")
+                       if cfg.cache_dir else None),
+            host=cfg.worker_host, port=0)
         proc = ctx.Process(target=worker_entry,
-                           args=(child_conn, spec), daemon=True)
+                           args=(child_conn, wid, config), daemon=True)
         proc.start()
         child_conn.close()
         return proc, parent_conn

@@ -35,6 +35,7 @@ Wire ops: the four point queries (``sensitivity`` / ``survives`` /
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -67,7 +68,10 @@ class ServiceConfig:
     """Deployment knobs for one service process."""
 
     shards: int = 2                  #: edge-range shards per instance
-    max_batch: int = 512             #: most queries one dispatch takes
+    #: most queue items one dispatch takes: a scalar submit is one
+    #: item, and so is each decoded (instance, op, shard) group of a
+    #: binary point run, however many queries it carries
+    max_batch: int = 512
     queue_depth: int = 4096          #: per-shard bound before shedding
     engine: str = "local"            #: pipeline engine for (re)builds
     oracle_labels: bool = True       #: treat rooting/DFS as black boxes
@@ -572,44 +576,6 @@ class SensitivityService(FrontDoor):
         wm.frames_out += n
         return payload
 
-    async def _answer_bulk(self, frame: bytes) -> bytes:
-        """Answer one columnar bulk query with one columnar response.
-
-        The response carries a single generation field; a query that
-        spans shards reports the newest generation touched (per-row
-        generations would cost 4 bytes/row on a path built to be lean
-        — the point path carries them exactly).
-        """
-        wm = self.wire["binary"]
-        t0 = time.perf_counter_ns()
-        op, iid, edges, weights = wire.decode_bulk_request(frame)
-        wm.record_decode(1, time.perf_counter_ns() - t0)
-        n = len(edges)
-        name = self.wire_symbols.name_of(iid)
-        if name is None or name not in self.instances:
-            statuses = np.full(n, wire.ST_UNKNOWN_INSTANCE, dtype=np.uint8)
-            return wire.encode_bulk_response(
-                wire.OP_CODE[op], 0xFFFF, 0, statuses,
-                np.zeros(n, dtype=np.float64))
-        arr = np.zeros(n, dtype=wire.POINT_DTYPE)
-        arr["type"] = wire.OP_CODE[op]
-        arr["iid"] = iid
-        arr["edge"] = edges
-        if weights is not None:
-            arr["weight"] = weights
-        statuses, resp = await self._answer_columns(arr)
-        # one op, so one group per shard: name the shard if exactly
-        # one group was answered rather than shed
-        served = np.unique(resp["shard"][statuses != wire.ST_SHED])
-        shard = int(served[0]) if len(served) == 1 else 0xFFFF
-        generation = int(resp["generation"].max()) if n else 0
-        t0 = time.perf_counter_ns()
-        payload = wire.encode_bulk_response(
-            wire.OP_CODE[op], shard, generation, statuses, resp["value"])
-        wm.record_encode(1, time.perf_counter_ns() - t0)
-        wm.frames_out += 1
-        return payload
-
 
 def _shed_rows(rows: np.ndarray, batcher: MicroBatcher,
                statuses: np.ndarray, resp: np.ndarray) -> None:
@@ -625,16 +591,19 @@ class ServiceClient:
 
     Construct with a :class:`SensitivityService` for in-process use
     (the wire protocol without the wire), or with
-    ``await ServiceClient.connect(host, port)`` for a real JSON-lines
-    connection. Typed helpers raise on error responses; :meth:`call`
-    returns the raw response dict (what a TCP client would read back),
-    which is what tests use to observe sheds and structured errors.
+    ``await ServiceClient.connect(host, port)`` for a real connection.
+    Typed helpers raise on error responses; :meth:`call` returns the
+    raw response dict (what a TCP client would read back), which is
+    what tests use to observe sheds and structured errors.
 
-    Transport failures never leak raw socket exceptions: a server that
-    drops the connection mid-call — a worker being restarted under the
-    router, a ``shutdown`` racing a query — surfaces as
-    :class:`~repro.errors.ServiceError` with ``kind="disconnected"``,
-    so callers distinguish "peer said no" from "peer went away".
+    Over TCP every request is one locked round trip: a JSON line, or
+    on a binary connection a 16-byte point frame or an escape frame,
+    answered by one line or one frame. Transport failures never leak
+    raw socket exceptions: a server that drops the connection mid-call
+    — a worker being restarted under the router, a ``shutdown`` racing
+    a query — surfaces as :class:`~repro.errors.ServiceError` with
+    ``kind="disconnected"``, so callers distinguish "peer said no" from
+    "peer went away".
     """
 
     def __init__(self, service: Optional[SensitivityService] = None,
@@ -678,42 +647,56 @@ class ServiceClient:
             await client._hello()
         return client
 
-    async def _hello(self, names: Optional[List[str]] = None) -> None:
-        """(Re-)negotiate the symbol table over an escape frame."""
-        req = {"op": "hello"}
-        if names is not None:
-            req["instances"] = names
-        resp = await self._roundtrip_escape(req)
-        if not resp.get("ok"):
-            raise ServiceError(
-                f"hello rejected: {resp.get('error')}", kind="protocol")
-        self._symbols.update(resp["result"]["symbols"])
+    @contextlib.asynccontextmanager
+    async def _held(self, what: str):
+        """The connection, held for one request and its answer.
 
-    async def _read_frame(self) -> bytes:
-        """One complete binary frame off the connection (under lock)."""
-        head = await self._reader.readexactly(wire.HEADER_LEN)
-        length = wire.frame_length(head)
-        if length == wire.HEADER_LEN:
-            return head
-        return head + await self._reader.readexactly(length - wire.HEADER_LEN)
-
-    async def _roundtrip_escape(self, req: Dict) -> Dict:
-        """One control op as an escape frame, response decoded to dict."""
-        async with self._lock:
+        Maps a transport failure to ``ServiceError(kind="disconnected")``
+        and a framing violation to ``kind="protocol"``.
+        """
+        if self._writer is None:
+            raise ServiceError("client is not connected",
+                               kind="disconnected")
+        async with self._lock:  # one request in flight per connection
             try:
-                self._writer.write(wire.encode_escape(req))
-                await self._writer.drain()
-                frame = await self._read_frame()
+                yield self._reader, self._writer
             except (ConnectionError, asyncio.IncompleteReadError,
                     OSError) as exc:
                 raise ServiceError(
-                    f"connection lost mid-call ({req.get('op')}): "
+                    f"connection lost mid-call ({what}): "
                     f"{type(exc).__name__}: {exc}", kind="disconnected")
-        if frame[1] != wire.ESCAPE:
+            except wire.WireError as exc:
+                raise ServiceError(f"bad answer to {what}: {exc}",
+                                   kind="protocol")
+
+    async def _hello(self) -> None:
+        """(Re-)negotiate the symbol table over an escape frame."""
+        async with self._held("hello") as (reader, writer):
+            self._symbols.update(await wire.hello(reader, writer))
+
+    async def _roundtrip(self, what: str, payload: bytes) -> bytes:
+        """Send one request; return its answer, a line or one frame."""
+        async with self._held(what) as (reader, writer):
+            writer.write(payload)
+            await writer.drain()
+            if self.wire_mode == "binary":
+                return await wire.read_frame(reader)
+            line = await reader.readline()
+        if not line:
             raise ServiceError(
-                f"expected escape response, got frame type "
-                f"0x{frame[1]:02x}", kind="protocol")
-        return wire.decode_escape(frame)
+                f"server closed the connection mid-call ({what})",
+                kind="disconnected")
+        return line
+
+    def _parse(self, answer: bytes) -> Dict:
+        """A JSON line, or an escape frame's payload, as a dict."""
+        try:
+            if self.wire_mode == "binary":
+                return wire.decode_escape(answer)
+            return json.loads(answer)
+        except (ValueError, wire.WireError) as exc:
+            raise ServiceError(f"unparseable response: {exc}",
+                               kind="protocol")
 
     def _iid_of(self, name: Optional[str]) -> Optional[int]:
         """Resolve an instance name to its interned id, if possible.
@@ -740,120 +723,46 @@ class ServiceClient:
             self._reader = None
 
     async def call(self, op: str, **kw) -> Dict:
-        req = {"op": op, **kw}
-        if "instance" not in req and self.instance is not None:
-            req["instance"] = self.instance
-        if self.service is not None:
-            return await self.service.handle_request(req)
-        if self._writer is None:
-            raise ServiceError("client is not connected",
-                               kind="disconnected")
-        if self.wire_mode == "binary":
-            return await self._call_binary(op, req)
-        async with self._lock:  # one request in flight per connection
-            try:
-                self._writer.write(wire.dumps_line(req))
-                await self._writer.drain()
-                line = await self._reader.readline()
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    OSError) as exc:
-                raise ServiceError(
-                    f"connection lost mid-call ({op}): "
-                    f"{type(exc).__name__}: {exc}", kind="disconnected")
-        if not line:
-            raise ServiceError(
-                f"server closed the connection mid-call ({op})",
-                kind="disconnected")
-        try:
-            return json.loads(line)
-        except ValueError as exc:
-            raise ServiceError(f"unparseable response line: {exc}",
-                               kind="protocol")
+        """One request, its response dict.
 
-    async def _call_binary(self, op: str, req: Dict) -> Dict:
-        """One request over the binary connection.
-
-        Point queries that fit the fixed frame
-        (:func:`~repro.service.wire.fits_point_frame`) go as 16-byte
-        frames and decode back to the exact dict the JSON path would
+        On a binary connection a point query that fits the fixed frame
+        (:func:`~repro.service.wire.fits_point_frame`) goes as a 16-byte
+        frame and decodes back to the exact dict the JSON path would
         return, ``id`` echoed here. Everything else — control ops, and
         the degenerate queries whose error envelopes only the JSON
         dispatch can produce (negative edge, missing survives weight,
         unknown instance) — rides the escape frame and comes back as
         the server's own JSON.
         """
+        req = {"op": op, **kw}
+        if "instance" not in req and self.instance is not None:
+            req["instance"] = self.instance
+        if self.service is not None:
+            return await self.service.handle_request(req)
+        if self.wire_mode == "json":
+            return self._parse(await self._roundtrip(op, wire.dumps_line(req)))
+        name, edge, weight = (req.get(k) for k in ("instance", "edge",
+                                                   "weight"))
+        iid = None
         if op in QUERY_OPS:
-            iid = self._iid_of(req.get("instance"))
-            if iid is None and req.get("instance") is not None:
-                await self._hello()  # maybe interned since we connected
-                iid = self._iid_of(req.get("instance"))
-            edge, weight = req.get("edge"), req.get("weight")
-            if wire.fits_point_frame(op, iid, edge, weight):
-                frame = wire.encode_point(op, iid, edge, weight)
-                async with self._lock:
-                    try:
-                        self._writer.write(frame)
-                        await self._writer.drain()
-                        resp = await self._read_frame()
-                    except (ConnectionError, asyncio.IncompleteReadError,
-                            OSError) as exc:
-                        raise ServiceError(
-                            f"connection lost mid-call ({op}): "
-                            f"{type(exc).__name__}: {exc}",
-                            kind="disconnected")
-                if resp[1] == wire.ESCAPE:
-                    return wire.decode_escape(resp)
-                name = req.get("instance")
-                if name is None:  # the single interned instance
-                    name = next(n for n, i in self._symbols.items()
-                                if i == iid)
-                out = wire.point_response_to_dict(
-                    op, edge, wire.decode_point_response(resp), name)
-                if "id" in req:
-                    out["id"] = req["id"]
-                return out
-        try:
-            return await self._roundtrip_escape(req)
-        except asyncio.IncompleteReadError:
-            raise ServiceError(
-                f"server closed the connection mid-call ({op})",
-                kind="disconnected")
-
-    async def bulk(self, op: str, edges, weights=None,
-                   instance: Optional[str] = None):
-        """One columnar bulk query over a binary connection.
-
-        Returns ``(shard, generation, statuses, values)`` — raw wire
-        columns, zero boxing. ``shard`` is 0xFFFF when the query
-        spanned shards (or failed before reaching one).
-        """
-        if self.wire_mode != "binary" or self._writer is None:
-            raise ServiceError(
-                "bulk queries need a binary TCP connection "
-                "(ServiceClient.connect(..., wire_mode='binary'))",
-                kind="protocol")
-        name = instance if instance is not None else self.instance
-        iid = self._iid_of(name)
-        if iid is None:
-            await self._hello()
             iid = self._iid_of(name)
-        if iid is None:
-            raise ValidationError(f"unknown instance {name!r}")
-        frame = wire.encode_bulk_request(op, iid, edges, weights)
-        async with self._lock:
-            try:
-                self._writer.write(frame)
-                await self._writer.drain()
-                resp = await self._read_frame()
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    OSError) as exc:
-                raise ServiceError(
-                    f"connection lost mid-call (bulk {op}): "
-                    f"{type(exc).__name__}: {exc}", kind="disconnected")
-        if resp[1] == wire.ESCAPE:
-            err = wire.decode_escape(resp)
-            raise ServiceError(str(err.get("error")), kind="protocol")
-        return wire.decode_bulk_response(resp)
+            if iid is None and name is not None:
+                await self._hello()  # maybe interned since we connected
+                iid = self._iid_of(name)
+        if not wire.fits_point_frame(op, iid, edge, weight):
+            return self._parse(await self._roundtrip(
+                op, wire.encode_escape(req)))
+        frame = await self._roundtrip(op, wire.encode_point(op, iid, edge,
+                                                            weight))
+        if frame[1] == wire.ESCAPE:
+            return self._parse(frame)
+        if name is None:  # the single interned instance
+            name = next(n for n, i in self._symbols.items() if i == iid)
+        out = wire.point_response_to_dict(
+            op, edge, wire.decode_point_response(frame), name)
+        if "id" in req:
+            out["id"] = req["id"]
+        return out
 
     async def _value(self, op: str, **kw):
         resp = await self.call(op, **kw)

@@ -13,9 +13,9 @@ Design rules, in order of importance:
 
 1. **Every frame's length is derivable from its first 8 bytes.** The
    type byte alone fixes the grammar (point frames are 16 bytes flat;
-   bulk and escape frames carry an explicit count/length in the
-   header), so a relay can split a byte stream into frames without
-   understanding — or parsing — any payload.
+   an escape frame carries its payload length in the header), so a
+   relay can split a byte stream into frames without understanding —
+   or parsing — any payload.
 2. **Point frames are uniform 16-byte records** so a whole pipelined
    read decodes with ONE ``np.frombuffer`` into columns (and a whole
    response batch encodes with one ``tobytes``). The ``weight`` field
@@ -40,14 +40,8 @@ Frame grammar (all little-endian; full table in DESIGN.md §6.5)::
 
     point request   16B  <u8 magic, u8 op(0x01..0x04), u16 iid,
                           u32 edge, f64 weight>
-    bulk request    var  <u8 magic, u8 op(0x11..0x14), u16 iid,
-                          u32 count> + count*u32 edges
-                          [+ count*f64 weights  (survives only)]
     point response  16B  <u8 magic, u8 0x40|status, u16 shard,
                           u32 generation, f64 value>
-    bulk response   var  <u8 magic, u8 0x51..0x54, u16 shard,
-                          u32 count, u32 generation, u32 reserved>
-                          + count*u8 statuses + count*f64 values
     escape          var  <u8 magic, u8 0x7E, u16 reserved, u32 length>
                           + length bytes of JSON (either direction)
 
@@ -67,14 +61,13 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 __all__ = [
     "MAGIC", "WIRE_VERSION", "HEADER_LEN", "POINT_LEN", "MAX_FRAME_LEN",
-    "OP_CODE", "OP_NAME", "BULK_OF", "POINT_OF_BULK",
-    "ESCAPE", "RESP_BASE", "BULK_RESP_BASE",
+    "OP_CODE", "OP_NAME", "ESCAPE", "RESP_BASE",
     "ST_OK", "ST_TYPE", "ST_RANGE", "ST_BAD_REQUEST", "ST_INTERNAL",
     "ST_SHED", "ST_SHED_ROUTER", "ST_UNKNOWN_INSTANCE",
     "ST_DISCONNECTED", "ST_ERROR",
@@ -84,9 +77,7 @@ __all__ = [
     "WireError", "WireSymbols", "WireMetrics",
     "frame_length", "point_run_length", "fits_point_frame",
     "encode_point", "encode_point_requests", "encode_escape",
-    "decode_escape", "decode_point_response",
-    "encode_bulk_request", "decode_bulk_request",
-    "encode_bulk_response", "decode_bulk_response",
+    "decode_escape", "decode_point_response", "read_frame", "hello",
     "point_response_to_dict", "response_to_status",
 ]
 
@@ -99,7 +90,7 @@ WIRE_VERSION = 1
 
 HEADER_LEN = 8        #: fixed header prefix every frame starts with
 POINT_LEN = 16        #: point request and point response frames
-#: Upper bound on any single frame (bulk payloads, escape JSON). An
+#: Upper bound on any single frame (an escape frame's JSON). An
 #: advertised length beyond this is a protocol error, not an alloc.
 MAX_FRAME_LEN = 64 * 1024 * 1024
 
@@ -114,18 +105,11 @@ OP_CODE: Dict[str, int] = {
 }
 OP_NAME: Dict[int, str] = {v: k for k, v in OP_CODE.items()}
 
-#: Bulk-request op codes 0x11..0x14 mirror the point codes.
-BULK_OF: Dict[int, int] = {code: code | 0x10 for code in OP_NAME}
-POINT_OF_BULK: Dict[int, int] = {v: k for k, v in BULK_OF.items()}
-
 ESCAPE = 0x7E           #: length-prefixed JSON escape frame
 RESP_BASE = 0x40        #: point response: 0x40 | status
-BULK_RESP_BASE = 0x50   #: bulk response: 0x50 | point op code
 
 _POINT_MIN, _POINT_MAX = 0x01, 0x04
-_BULK_MIN, _BULK_MAX = 0x11, 0x14
 _RESP_MIN, _RESP_MAX = 0x40, 0x4F
-_BRESP_MIN, _BRESP_MAX = 0x51, 0x54
 
 # -- status codes -------------------------------------------------------------
 
@@ -231,22 +215,6 @@ def frame_length(buf) -> Optional[int]:
             f"binary-negotiated connection?)")
     if _POINT_MIN <= ftype <= _POINT_MAX or _RESP_MIN <= ftype <= _RESP_MAX:
         return POINT_LEN
-    if _BULK_MIN <= ftype <= _BULK_MAX:
-        n = HEADER_LEN + 4 * u32
-        if ftype == BULK_OF[OP_CODE["survives"]]:
-            n += 8 * u32
-        if n > MAX_FRAME_LEN:
-            raise WireError(
-                f"bulk request advertises {u32} edges "
-                f"({n} bytes > {MAX_FRAME_LEN} cap)")
-        return n
-    if _BRESP_MIN <= ftype <= _BRESP_MAX:
-        n = HEADER_LEN + 8 + 9 * u32
-        if n > MAX_FRAME_LEN:
-            raise WireError(
-                f"bulk response advertises {u32} rows "
-                f"({n} bytes > {MAX_FRAME_LEN} cap)")
-        return n
     if ftype == ESCAPE:
         if HEADER_LEN + u32 > MAX_FRAME_LEN:
             raise WireError(
@@ -256,10 +224,9 @@ def frame_length(buf) -> Optional[int]:
     raise WireError(f"unknown frame type 0x{ftype:02x}")
 
 
-def point_run_length(buf, *, lo: int = _POINT_MIN,
-                     hi: int = _POINT_MAX) -> int:
+def point_run_length(buf) -> int:
     """How many leading complete frames of ``buf`` form a uniform run
-    of 16-byte point frames with type in ``[lo, hi]``.
+    of 16-byte point request frames.
 
     One vectorised scan over the candidate records — the relay and the
     server both use this to lift a whole pipelined read into columns
@@ -267,11 +234,12 @@ def point_run_length(buf, *, lo: int = _POINT_MIN,
     not a point frame (callers then fall back to :func:`frame_length`).
     """
     k = len(buf) // POINT_LEN
-    if k == 0 or not lo <= buf[1] <= hi:
+    if k == 0 or not _POINT_MIN <= buf[1] <= _POINT_MAX:
         return 0  # e.g. an escape frame: control links carry only those
     view = np.frombuffer(buf, dtype=POINT_DTYPE, count=k)
     bad = np.flatnonzero((view["magic"] != MAGIC)
-                         | (view["type"] < lo) | (view["type"] > hi))
+                         | (view["type"] < _POINT_MIN)
+                         | (view["type"] > _POINT_MAX))
     return int(bad[0]) if len(bad) else k
 
 
@@ -342,55 +310,36 @@ def decode_escape(frame: bytes) -> Dict:
         raise WireError(f"bad escape payload: {exc}")
 
 
-def encode_bulk_request(op: str, iid: int, edges: np.ndarray,
-                        weights: Optional[np.ndarray] = None) -> bytes:
-    """Columnar bulk query: header + raw u32 edge ids (+ f64 weights)."""
-    code = BULK_OF[OP_CODE[op]]
-    edges = np.ascontiguousarray(edges, dtype="<u4")
-    head = _HEADER.pack(MAGIC, code, iid, len(edges))
-    if op == "survives":
-        if weights is None:
-            raise WireError("bulk survives needs a weights column")
-        weights = np.ascontiguousarray(weights, dtype="<f8")
-        return head + edges.tobytes() + weights.tobytes()
-    return head + edges.tobytes()
+# -- one frame off a stream ---------------------------------------------------
 
 
-def decode_bulk_request(frame: bytes) -> Tuple[str, int, np.ndarray,
-                                               Optional[np.ndarray]]:
-    """(op, iid, edges, weights|None) from a complete bulk frame."""
-    _m, ftype, iid, count = _HEADER.unpack_from(frame)
-    op = OP_NAME[POINT_OF_BULK[ftype]]
-    edges = np.frombuffer(frame, dtype="<u4", count=count,
-                          offset=HEADER_LEN)
-    weights = None
-    if op == "survives":
-        weights = np.frombuffer(frame, dtype="<f8", count=count,
-                                offset=HEADER_LEN + 4 * count)
-    return op, iid, edges, weights
+async def read_frame(reader) -> bytes:
+    """Read one complete frame from an ``asyncio.StreamReader``: the
+    header first, then whatever length it advertises."""
+    head = await reader.readexactly(HEADER_LEN)
+    return head + await reader.readexactly(frame_length(head) - HEADER_LEN)
 
 
-def encode_bulk_response(op_code: int, shard: int, generation: int,
-                         statuses: np.ndarray,
-                         values: np.ndarray) -> bytes:
-    """Columnar bulk answer: statuses and values as raw buffers."""
-    count = len(statuses)
-    head = _HEADER.pack(MAGIC, BULK_RESP_BASE | op_code, shard, count)
-    head += struct.pack("<II", generation, 0)
-    return (head + np.ascontiguousarray(statuses, dtype="u1").tobytes()
-            + np.ascontiguousarray(values, dtype="<f8").tobytes())
+async def hello(reader, writer, names=None) -> Dict[str, int]:
+    """Negotiate the binary protocol on a connection; returns the
+    symbol table (instance name → interned ``u16`` id).
 
-
-def decode_bulk_response(frame: bytes) -> Tuple[int, int, np.ndarray,
-                                                np.ndarray]:
-    """(shard, generation, statuses, values) from a bulk response."""
-    _m, _t, shard, count = _HEADER.unpack_from(frame)
-    generation, _r = struct.unpack_from("<II", frame, HEADER_LEN)
-    statuses = np.frombuffer(frame, dtype="u1", count=count,
-                             offset=HEADER_LEN + 8)
-    values = np.frombuffer(frame, dtype="<f8", count=count,
-                           offset=HEADER_LEN + 8 + count)
-    return shard, generation, statuses, values
+    The escape frame's leading magic byte is what flips a fresh
+    connection's sniffer to binary. With ``names`` the responder
+    interns them in that order (how the router dictates its global id
+    order to a worker); without, it interns its own instances sorted.
+    A refused hello raises :class:`WireError`; transport failures
+    propagate as the stream raised them.
+    """
+    req = {"op": "hello", "wire": WIRE_VERSION}
+    if names is not None:
+        req["instances"] = list(names)
+    writer.write(encode_escape(req))
+    await writer.drain()
+    resp = decode_escape(await read_frame(reader))
+    if not resp.get("ok"):
+        raise WireError(f"hello rejected: {resp.get('error')}")
+    return {k: int(v) for k, v in resp["result"]["symbols"].items()}
 
 
 # -- response → JSON-envelope mapping -----------------------------------------

@@ -37,12 +37,10 @@ EOF (the router process is gone).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import ValidationError
 from ..graph.graph import WeightedGraph
-from ..mpc import MPCConfig
 from ..oracle import SensitivityOracle
 from ..pipeline import ArtifactStore
 from ..serialize import file_digest
@@ -50,34 +48,7 @@ from .server import SensitivityService, ServiceConfig, _Instance
 from .shards import OracleShard, plan_shards
 from .updates import InstanceUpdater
 
-__all__ = ["WorkerSpec", "WorkerService", "worker_entry"]
-
-
-@dataclass
-class WorkerSpec:
-    """Plain-field worker bootstrap config (crosses the spawn pipe)."""
-
-    worker_id: int
-    host: str = "127.0.0.1"
-    shards: int = 2
-    max_batch: int = 512
-    queue_depth: int = 4096
-    engine: str = "local"
-    delta: float = 0.35
-    oracle_labels: bool = True
-    mmap_dir: Optional[str] = None
-    cache_dir: Optional[str] = None
-
-    def service_config(self) -> ServiceConfig:
-        config = (MPCConfig(delta=self.delta)
-                  if self.engine == "distributed" else None)
-        return ServiceConfig(
-            shards=self.shards, max_batch=self.max_batch,
-            queue_depth=self.queue_depth, engine=self.engine,
-            oracle_labels=self.oracle_labels, config=config,
-            cache_dir=self.cache_dir, mmap_dir=self.mmap_dir,
-            host=self.host, port=0,
-        )
+__all__ = ["WorkerService", "worker_entry"]
 
 
 def _verified_load(path: str, digest: str, n_copies: int):
@@ -236,11 +207,12 @@ class WorkerService(SensitivityService):
         return {"ok": True, "result": result}
 
 
-async def _worker_async(conn, spec: WorkerSpec) -> None:
-    service = WorkerService(spec.service_config())
+async def _worker_async(conn, worker_id: int,
+                        config: ServiceConfig) -> None:
+    service = WorkerService(config)
     await service.start(serve_tcp=True)
     host, port = service.tcp_address
-    conn.send(("ready", spec.worker_id, port))
+    conn.send(("ready", worker_id, port))
     # the boot pipe stays open for the worker's life and the router
     # never writes to it again: it turns readable only at EOF, when the
     # router process is gone, however it ended
@@ -259,6 +231,10 @@ async def _worker_async(conn, spec: WorkerSpec) -> None:
         await service.stop()
 
 
-def worker_entry(conn, spec: WorkerSpec) -> None:
-    """``multiprocessing`` target: run one worker until shutdown."""
-    asyncio.run(_worker_async(conn, spec))
+def worker_entry(conn, worker_id: int, config: ServiceConfig) -> None:
+    """``multiprocessing`` target: run one worker until shutdown.
+
+    ``config`` is the worker's whole :class:`ServiceConfig`, built by
+    the router (per-worker spool and cache directories, ``port=0``).
+    """
+    asyncio.run(_worker_async(conn, worker_id, config))

@@ -67,46 +67,6 @@ class TestColumnarFabric:
         assert e.value.machine == 1  # send checked before receive
 
 
-class TestFabric:
-    def test_delivery_order_deterministic(self):
-        f = Fabric(3, 1000, CostTracker())
-        out = [[(2, Table(x=[1]))], [(2, Table(x=[2]))], []]
-        inbox = f.exchange(out)
-        assert [t.col("x")[0] for t in inbox[2]] == [1, 2]
-
-    def test_send_cap_enforced(self):
-        f = Fabric(2, 10, CostTracker())
-        big = Table(x=np.arange(11))
-        with pytest.raises(CapacityError) as e:
-            f.exchange([[(1, big)], []])
-        assert e.value.machine == 0
-
-    def test_receive_cap_enforced(self):
-        f = Fabric(3, 10, CostTracker())
-        part = Table(x=np.arange(6))
-        with pytest.raises(CapacityError) as e:
-            f.exchange([[(2, part)], [(2, part)], []])
-        assert e.value.machine == 2
-
-    def test_bad_peer_rejected(self):
-        f = Fabric(2, 100, CostTracker())
-        with pytest.raises(ValidationError):
-            f.exchange([[(5, Table(x=[1]))], []])
-
-    def test_wrong_outbox_count(self):
-        f = Fabric(2, 100, CostTracker())
-        with pytest.raises(ValidationError):
-            f.exchange([[]])
-
-    def test_rounds_counted(self):
-        t = CostTracker()
-        f = Fabric(2, 100, t)
-        f.exchange([[], []])
-        f.exchange([[], []])
-        assert f.rounds_executed == 2
-        assert t.report().transport_rounds == 2
-
-
 class TestDeployment:
     def test_m_le_s_required(self):
         # tiny delta + big input would need more machines than local words

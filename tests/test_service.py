@@ -35,7 +35,8 @@ from repro.service import (
     plan_shards,
     route,
 )
-from repro.service.loadgen import make_plan, run_inprocess, run_tcp
+from repro.service.loadgen import (make_plan, run_inprocess, run_procs,
+                                   run_tcp)
 
 
 def run(coro):
@@ -388,6 +389,31 @@ class TestBatchingContract:
         oracle = build_oracle(g)
         assert [v for _gen, _ok, v, _kind in answers] == \
             oracle.sensitivity_bulk(np.arange(40)).tolist()
+
+    def test_max_batch_counts_queue_items_not_queries(self):
+        """A decoded binary group is one queue item however many queries
+        it carries: ``max_batch=4`` answers an 8-frame point run in one
+        dispatch of 8 queries."""
+        from repro.service import wire
+
+        g = make_graph(n=120, seed=5)
+
+        async def scenario():
+            svc = await started_service(g, shards=1, max_batch=4)
+            iid = svc.hello({})["result"]["symbols"]["default"]
+            answer = await svc._answer_points(b"".join(
+                wire.encode_point("sensitivity", iid, e) for e in range(8)))
+            metrics = svc.metrics()
+            await svc.stop()
+            return answer, metrics
+
+        answer, metrics = run(scenario())
+        shard = metrics["instances"]["default"]["shards"][0]
+        assert shard["batches"] == 1 and shard["batch_occupancy"] == 8
+        resp = np.frombuffer(answer, dtype=wire.RESP_DTYPE)
+        assert (resp["type"] == wire.RESP_BASE | wire.ST_OK).all()
+        assert resp["value"].tolist() == \
+            build_oracle(g).sensitivity_bulk(np.arange(8)).tolist()
 
     def test_writes_finish_under_zero_think_time_reads(self):
         """Six clients that re-submit the moment they are answered keep
@@ -872,3 +898,62 @@ class TestLoadgenHandshake:
         assert run(scenario()) == 1
         err = capsys.readouterr().err
         assert "closed the connection during the instances handshake" in err
+
+
+class TestLoadgenProcs:
+    """``--procs N`` sends exactly ``--queries``, split over the children."""
+
+    def test_shares_sum_to_the_queries(self):
+        from repro.service.loadgen import _shares
+
+        assert _shares(5000, 3) == [1667, 1667, 1666]
+        assert _shares(2, 4) == [1, 1]  # a zero share spawns no child
+        assert _shares(0, 2) == []
+
+    def test_forked_storm_sends_exactly_the_queries(self):
+        g = make_graph(n=120, seed=5)
+
+        async def scenario():
+            svc = SensitivityService(ServiceConfig(shards=2, port=0))
+            svc.add_instance("default", g)
+            await svc.start(serve_tcp=True)
+            try:
+                host, port = svc.tcp_address
+                return await run_procs(host, port, {"default": g.m},
+                                       queries=5, procs=3, clients=1)
+            finally:
+                await svc.stop()
+
+        stats = run(scenario())
+        assert (stats.sent, stats.errors) == (5, 0)
+        assert stats.answered + stats.shed == 5
+
+
+class TestLoadgenDiscovery:
+    def test_waits_for_a_router_that_listens_before_it_has_instances(self):
+        """A router opens its door before it adds its instances; the
+        handshake asks again instead of storming an empty table."""
+        from repro.service.loadgen import _discover
+
+        tables = [{}, {}, {"g0": {"n": 4, "m": 9}}]
+
+        async def scenario():
+            async def booting(reader, writer):
+                await reader.readline()
+                writer.write(json.dumps(
+                    {"ok": True, "result": tables.pop(0)}).encode() + b"\n")
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(booting, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            args = argparse.Namespace(host="127.0.0.1", port=port,
+                                      connect_timeout=10.0)
+            try:
+                return await _discover(args)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        assert run(scenario()) == {"g0": {"n": 4, "m": 9}}
+        assert tables == []

@@ -17,7 +17,6 @@ import struct
 import numpy as np
 import pytest
 
-from repro.errors import ServiceError
 from repro.graph.generators import known_mst_instance
 from repro.oracle import build_oracle
 from repro.service import (
@@ -52,12 +51,6 @@ async def started_tcp(graph, name="default", **cfg_kw):
     return svc
 
 
-async def read_frame(reader):
-    head = await reader.readexactly(wire.HEADER_LEN)
-    need = wire.frame_length(head)
-    return head + await reader.readexactly(need - wire.HEADER_LEN)
-
-
 def point_frame(op, iid, edge, weight=0.0):
     return struct.pack("<BBHId", wire.MAGIC, wire.OP_CODE[op], iid,
                        edge, weight)
@@ -69,14 +62,6 @@ class TestFraming:
             point_frame("sensitivity", 0, 7),
             point_frame("survives", 1, 9, 2.5),
             wire.encode_escape({"op": "ping"}),
-            wire.encode_bulk_request("sensitivity", 0,
-                                     np.arange(5, dtype="<u4")),
-            wire.encode_bulk_request("survives", 2,
-                                     np.arange(9, dtype="<u4"),
-                                     np.ones(9)),
-            wire.encode_bulk_response(
-                wire.OP_CODE["sensitivity"], 1, 3,
-                np.zeros(4, dtype="u1"), np.ones(4)),
         ]
         for frame in cases:
             assert wire.frame_length(frame[:wire.HEADER_LEN]) == len(frame)
@@ -104,8 +89,9 @@ class TestFraming:
                            wire.MAX_FRAME_LEN)
         with pytest.raises(wire.WireError, match="cap"):
             wire.frame_length(huge)
+        # a former bulk type byte no longer sizes a frame at all
         bulk = struct.pack("<BBHI", wire.MAGIC, 0x12, 0, 2 ** 31)
-        with pytest.raises(wire.WireError, match="cap"):
+        with pytest.raises(wire.WireError, match="unknown frame type"):
             wire.frame_length(bulk)
 
     def test_point_run_length_scans_uniform_runs(self):
@@ -128,32 +114,6 @@ class TestCodecs:
         with pytest.raises(wire.WireError, match="escape payload"):
             wire.decode_escape(struct.pack(
                 "<BBHI", wire.MAGIC, wire.ESCAPE, 0, 5) + b"[1,2]")
-
-    def test_bulk_request_roundtrip(self):
-        edges = np.array([3, 1, 999], dtype="<u4")
-        op, iid, e2, w2 = wire.decode_bulk_request(
-            wire.encode_bulk_request("replacement_edge", 7, edges))
-        assert (op, iid) == ("replacement_edge", 7)
-        assert np.array_equal(e2, edges) and w2 is None
-        weights = np.array([0.5, 1.5, 2.5])
-        op, iid, e2, w2 = wire.decode_bulk_request(
-            wire.encode_bulk_request("survives", 1, edges, weights))
-        assert op == "survives"
-        assert np.array_equal(w2, weights)
-
-    def test_bulk_survives_without_weights_is_an_error(self):
-        with pytest.raises(wire.WireError, match="weights"):
-            wire.encode_bulk_request("survives", 0,
-                                     np.arange(3, dtype="<u4"))
-
-    def test_bulk_response_roundtrip(self):
-        st = np.array([0, 1, 5], dtype="u1")
-        vals = np.array([1.25, -1.0, 4096.0])
-        shard, gen, st2, v2 = wire.decode_bulk_response(
-            wire.encode_bulk_response(wire.OP_CODE["survives"], 3, 17,
-                                      st, vals))
-        assert (shard, gen) == (3, 17)
-        assert np.array_equal(st2, st) and np.array_equal(v2, vals)
 
     def test_compact_json_helpers(self):
         obj = {"ok": True, "result": [1, 2]}
@@ -290,12 +250,12 @@ class TestMalformedInputOverTcp:
 
         run(scenario())
 
-    async def _expect_protocol_error(self, svc, payload, match):
-        host, port = svc.tcp_address
+    async def _expect_protocol_error(self, door, payload, match):
+        host, port = door.tcp_address
         reader, writer = await asyncio.open_connection(host, port)
         writer.write(payload)
         await writer.drain()
-        frame = await asyncio.wait_for(read_frame(reader), 10.0)
+        frame = await asyncio.wait_for(wire.read_frame(reader), 10.0)
         err = wire.decode_escape(frame)
         assert not err["ok"] and err["error_kind"] == "protocol"
         assert match in err["error"], err
@@ -303,15 +263,34 @@ class TestMalformedInputOverTcp:
         assert got == b""                   # server closed after the error
         writer.close()
 
+    #: type bytes no frame has: 0x3F was never assigned, and 0x11, 0x14
+    #: and 0x51 were the deleted bulk request and response frames
+    UNKNOWN_TYPES = (0x3F, 0x11, 0x14, 0x51)
+
+    async def _expect_unknown_types_refused(self, door):
+        for ftype in self.UNKNOWN_TYPES:
+            bad = struct.pack("<BBHI", wire.MAGIC, ftype, 0, 0) * 2
+            await self._expect_protocol_error(
+                door, bad, f"unknown frame type 0x{ftype:02x}")
+
     def test_unknown_opcode_answers_structured_error_then_closes(self):
         async def scenario():
             svc = await started_tcp(make_graph(n=60))
             try:
-                bad = struct.pack("<BBHI", wire.MAGIC, 0x3F, 0, 0) * 2
-                await self._expect_protocol_error(
-                    svc, bad, "unknown frame type")
+                await self._expect_unknown_types_refused(svc)
             finally:
                 await svc.stop()
+
+        run(scenario())
+
+    def test_router_door_refuses_unknown_frame_types_too(self):
+        async def scenario():
+            rt = RouterTier(RouterConfig(workers=1, replication=1, port=0))
+            await rt.start(serve_tcp=True)
+            try:
+                await self._expect_unknown_types_refused(rt)
+            finally:
+                await rt.stop()
 
         run(scenario())
 
@@ -333,13 +312,11 @@ class TestMalformedInputOverTcp:
             try:
                 host, port = svc.tcp_address
                 reader, writer = await asyncio.open_connection(host, port)
-                writer.write(wire.encode_escape({"op": "hello"}))
-                await writer.drain()
-                await asyncio.wait_for(read_frame(reader), 10.0)  # hello ok
+                await asyncio.wait_for(wire.hello(reader, writer), 10.0)
                 # now the client "forgets" it negotiated binary
                 writer.write(b'{"op": "ping"}\n')
                 await writer.drain()
-                frame = await asyncio.wait_for(read_frame(reader), 10.0)
+                frame = await asyncio.wait_for(wire.read_frame(reader), 10.0)
                 err = wire.decode_escape(frame)
                 assert not err["ok"]
                 assert "JSON client" in err["error"]
@@ -380,19 +357,15 @@ class TestHelloNegotiation:
                     {"op": "hello", "wire": 1}))
                 await writer.drain()
                 first = wire.decode_escape(
-                    await asyncio.wait_for(read_frame(reader), 10.0))
+                    await asyncio.wait_for(wire.read_frame(reader), 10.0))
                 # omitted list → sorted registration order
                 assert first["result"]["symbols"] == {"alpha": 0,
                                                       "beta": 1}
                 assert first["result"]["wire"] == wire.WIRE_VERSION
                 # explicit re-hello only ever extends the table
-                writer.write(wire.encode_escape(
-                    {"op": "hello", "instances": ["beta", "gamma"]}))
-                await writer.drain()
-                second = wire.decode_escape(
-                    await asyncio.wait_for(read_frame(reader), 10.0))
-                assert second["result"]["symbols"] == {"beta": 1,
-                                                       "gamma": 2}
+                second = await asyncio.wait_for(
+                    wire.hello(reader, writer, ["beta", "gamma"]), 10.0)
+                assert second == {"beta": 1, "gamma": 2}
                 writer.close()
             finally:
                 await svc.stop()
@@ -442,42 +415,6 @@ class TestCrossProtocolDirect:
 
         run(scenario())
 
-    def test_bulk_columns_match_scalar_point_queries(self):
-        async def scenario():
-            g = make_graph(n=120)
-            svc = await started_tcp(g, name="g0")
-            try:
-                host, port = svc.tcp_address
-                cb = await ServiceClient.connect(host, port,
-                                                 wire_mode="binary")
-                edges = np.arange(0, g.m + 6, 5, dtype=np.int64)
-                for op in OPS:
-                    weights = (1.25 * np.ones(len(edges))
-                               if op == "survives" else None)
-                    shard, gen, statuses, values = await cb.bulk(
-                        op, edges, weights, instance="g0")
-                    assert len(statuses) == len(edges)
-                    for i, e in enumerate(edges):
-                        kw = {"edge": int(e), "instance": "g0"}
-                        if op == "survives":
-                            kw["weight"] = 1.25
-                        ref = await cb.call(op, **kw)
-                        st = int(statuses[i])
-                        if ref.get("ok"):
-                            assert st == wire.ST_OK
-                            assert (wire._wrap_value(op, float(values[i]))
-                                    == ref["result"])
-                        elif int(e) >= g.m:
-                            assert st == wire.ST_RANGE
-                            assert int(values[i]) == g.m
-                        else:
-                            assert st == wire.ST_TYPE
-                await cb.close()
-            finally:
-                await svc.stop()
-
-        run(scenario())
-
     def test_control_ops_ride_the_escape_frame(self):
         async def scenario():
             g = make_graph(n=120)
@@ -502,21 +439,6 @@ class TestCrossProtocolDirect:
                 assert r1 == r2 and r1["generation"] == upd["generation"]
                 await cj.close()
                 await cb.close()
-            finally:
-                await svc.stop()
-
-        run(scenario())
-
-    def test_bulk_needs_a_binary_connection(self):
-        async def scenario():
-            g = make_graph(n=60)
-            svc = await started_tcp(g)
-            try:
-                host, port = svc.tcp_address
-                cj = await ServiceClient.connect(host, port)
-                with pytest.raises(ServiceError, match="binary"):
-                    await cj.bulk("sensitivity", np.arange(4))
-                await cj.close()
             finally:
                 await svc.stop()
 
@@ -548,6 +470,39 @@ class TestLoadgenBinaryDriver:
                 await svc.stop()
 
         run(scenario())
+
+    @pytest.mark.parametrize("wire_mode", ["json", "binary"])
+    def test_dead_connection_fails_its_chunk_and_stops(self, wire_mode):
+        """A connection that dies mid-storm counts its chunk as errors
+        and takes no more chunks, in either protocol."""
+        async def scenario():
+            async def hang_up(reader, writer):
+                first = await reader.readexactly(1)
+                if first[0] == wire.MAGIC:  # answer the hello, then die
+                    head = first + await reader.readexactly(
+                        wire.HEADER_LEN - 1)
+                    await reader.readexactly(
+                        wire.frame_length(head) - wire.HEADER_LEN)
+                    writer.write(wire.encode_escape(
+                        {"ok": True, "result": {"wire": wire.WIRE_VERSION,
+                                                "symbols": {"g0": 0}}}))
+                    await writer.drain()
+                    await reader.readexactly(1)  # the first chunk
+                writer.close()
+
+            server = await asyncio.start_server(hang_up, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await run_tcp("127.0.0.1", port,
+                                     make_plan({"g0": 50}, 12, seed=1),
+                                     clients=1, pipeline=4,
+                                     wire_mode=wire_mode)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        stats = run(scenario())
+        assert (stats.sent, stats.errors, stats.answered) == (4, 4, 0)
 
     def test_unknown_wire_mode_is_rejected(self):
         async def scenario():
